@@ -109,25 +109,24 @@ fn bench_campaign_thread_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Aggregation-only throughput at 1/2/4/8 diagnosis shards: the fleet is
-/// simulated **once** (aggregation borrows [`eea_fleet::FleetShards`]), so
-/// the group isolates the merge → diagnose → fold stages the sharded
-/// gateway pipeline (DESIGN.md §10) parallelized. Reports stay
-/// bit-identical across the shard sweep.
-fn bench_aggregation_shard_sweep(c: &mut Criterion) {
+/// Snapshot-only throughput at 1/2/4/8 diagnosis threads: the fleet is
+/// fed **once** into one gateway per thread count, so the group isolates
+/// the sort → diagnose → fold stages of `GatewayService::snapshot_at`
+/// (DESIGN.md §10). Diagnoses are cached across snapshots, so after the
+/// first iteration this measures what a repeated horizon snapshot costs.
+/// Reports stay bit-identical across the sweep.
+fn bench_aggregation_thread_sweep(c: &mut Criterion) {
     let cut = cut();
     let bp = blueprints(TransportKind::MirroredCan);
     let mut group = c.benchmark_group("fleet_aggregation");
     group.sample_size(10);
-    for shards in [1usize, 2, 4, 8] {
-        let cfg = CampaignConfig {
-            shards,
-            ..campaign_config(0)
-        };
-        let campaign = Campaign::new(&cut, &bp, cfg).expect("valid campaign");
-        let sim = campaign.simulate();
-        group.bench_function(format!("shards_{shards}"), |b| {
-            b.iter(|| campaign.aggregate(&sim))
+    for threads in [1usize, 2, 4, 8] {
+        let campaign = Campaign::new(&cut, &bp, campaign_config(threads)).expect("valid campaign");
+        let mut svc = campaign.gateway();
+        campaign.feed(&mut svc).expect("provisioned for the fleet");
+        let horizon_s = campaign.config().horizon_s;
+        group.bench_function(format!("threads_{threads}"), |b| {
+            b.iter(|| svc.snapshot_at(horizon_s))
         });
     }
     group.finish();
@@ -136,6 +135,6 @@ fn bench_aggregation_shard_sweep(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_campaign_serial, bench_campaign_thread_sweep, bench_aggregation_shard_sweep
+    targets = bench_campaign_serial, bench_campaign_thread_sweep, bench_aggregation_thread_sweep
 }
 criterion_main!(benches);

@@ -12,7 +12,7 @@
 //! the classic-vs-FD-vs-FlexRay latency comparison.
 //!
 //! A second, `EEA_FLEET_SCALE`-driven sweep (default 100k/1M/10M vehicles)
-//! exercises the streaming sharded aggregation (DESIGN.md §10) at scale on
+//! exercises the streaming gateway aggregation (DESIGN.md §10) at scale on
 //! the first selected backend, recording per-stage timings
 //! (simulate/merge/diagnose/fold) and the process peak RSS per point.
 //!

@@ -6,14 +6,14 @@
 //! Three guarantees are asserted before any number is reported:
 //!
 //! 1. **Clean bit-identity** — the clean baseline is bit-identical across
-//!    the thread × shard sweep, carries no robustness block, and (at the
+//!    the thread sweep, carries no robustness block, and (at the
 //!    default 100 000-vehicle scale) reproduces the frozen report digest
 //!    `0xC52D_7E52_A85B_1C99`.
 //! 2. **Equivalence oracle** — a zero-rate, uncapped `NoisyChannel`
 //!    (which owns and advances its dedicated per-vehicle RNG streams)
 //!    reproduces the clean report bit-for-bit.
 //! 3. **Impaired bit-identity** — every nonzero-impairment point is
-//!    bit-identical across the same thread × shard sweep, including the
+//!    bit-identical across the same thread sweep, including the
 //!    f64 retransmission-overhead accumulator and the rank CDF.
 //!
 //! Per point the `BENCH_fleet.json` entry records the robustness axis —
@@ -118,7 +118,7 @@ fn digest(report: &FleetReport) -> u64 {
     h
 }
 
-/// Thread × shard sweep of one channel point; asserts bit-identity and
+/// Thread sweep of one channel point; asserts bit-identity and
 /// returns the reference report plus the slowest-to-fastest timing line.
 fn run_sweep(
     label: &str,
@@ -131,7 +131,6 @@ fn run_sweep(
     for &threads in &THREAD_SWEEP {
         let cfg = CampaignConfig {
             threads,
-            shards: threads.min(5),
             ..config.clone()
         };
         let campaign = Campaign::new(cut, &bp, cfg)?;

@@ -6,7 +6,7 @@
 //! driving/parked shut-off budget (the historical window source) and once
 //! with windows derived from a fixed-priority cyclic-task schedule's idle
 //! intervals ([`eea_fleet::TaskSchedule`]). Each variant sweeps 1/2/4/8
-//! worker threads and a shard pair; the [`eea_fleet::FleetReport`] is
+//! worker threads; the [`eea_fleet::FleetReport`] is
 //! asserted **bit-identical across the sweep** before any number is
 //! reported. Per variant the entry records the headline campaign counters
 //! plus the per-family detection/latency split
@@ -160,11 +160,8 @@ fn run_variant(
     let mut reference: Option<FleetReport> = None;
     let mut sweep = Vec::new();
     for &threads in &THREAD_SWEEP {
-        // Shards vary with the thread point so the sweep also crosses the
-        // aggregation axis; bit-identity must hold regardless.
         let cfg = CampaignConfig {
             threads,
-            shards: threads.min(5),
             ..config.clone()
         };
         let campaign = Campaign::with_models(cut, Some(sram), bp, cfg)?;

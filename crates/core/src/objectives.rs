@@ -159,12 +159,10 @@ pub fn evaluate_with_transport(
     let mut quality_sum = 0.0;
     let mut shutoff: f64 = 0.0;
     let mut gateway_profiles: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut any_selected = false;
     for o in &diag.options {
         if x.binding_of(o.test).is_none() {
             continue;
         }
-        any_selected = true;
         // Eq. (3b) couples the data task's binding to the test task's, so
         // a decoded implementation always binds both; a hand-built one
         // that does not is treated as "no session" rather than a panic.
@@ -205,7 +203,6 @@ pub fn evaluate_with_transport(
         memory.gateway_bytes += bytes;
         cost += bytes as f64 * arch.resource(diag.gateway).memory_cost_per_byte;
     }
-    let _ = any_selected;
 
     // ---- Test quality (Eq. 4): average over allocated ECUs.
     let allocated_ecus = arch

@@ -1,27 +1,22 @@
-//! The deterministic fleet campaign engine — a **streaming, sharded
-//! pipeline** from vehicle simulation to the gateway report.
+//! The deterministic fleet campaign engine: seeded vehicle simulation
+//! feeding the gateway, which builds the report.
 //!
-//! [`Campaign::run`] never materializes a per-vehicle outcome vector.
-//! Worker threads fold contiguous vehicle-index ranges directly into
-//! [`ShardAccumulator`]s (simulation fused with pre-aggregation), the
-//! per-shard sorted upload runs are k-way merged into gateway-arrival
-//! order, the diagnosis stage shards the pure per-fault dictionary
-//! lookups, and a final serial scan folds batches, latency statistics and
-//! the coverage curve. Peak memory is O(detections + shard state), not
-//! O(fleet) — a 10M-vehicle campaign carries only its uploads plus a few
-//! hundred kB of per-block partials.
+//! A [`Campaign`] validates its configuration and simulates vehicles; the
+//! [`GatewayService`] is the only place a [`FleetReport`] is built.
+//! [`Campaign::run`] feeds every vehicle into a gateway provisioned for
+//! the fleet and takes the horizon snapshot (DESIGN.md §10): arrivals fold
+//! into the gateway's block ledger as they come, the snapshot sorts the
+//! uploads into `(time_s, vehicle)` order, diagnoses the keys it has not
+//! cached yet, and [`fold_report`] assembles batches, latency statistics
+//! and the coverage curve. No per-vehicle outcome vector is ever
+//! materialized — peak memory is O(detections + blocks), not O(fleet).
 //!
-//! Every stage keeps the determinism contract of `eea_faultsim`'s
-//! parallel engine (DESIGN.md §10): each vehicle's outcome is a pure
-//! function of the campaign seed and its index, floating-point folds run
-//! over fixed [`SIM_BLOCK`]-sized blocks so the reduction tree is
-//! independent of the worker count, the upload merge key `(time_s,
-//! vehicle)` is a total order, and diagnosis shards merge by fault index
-//! — so the [`FleetReport`] is **bit-identical at any thread count and
-//! any shard count**.
+//! Each vehicle's outcome is a pure function of the campaign seed and its
+//! index, and the gateway's snapshot is a pure function of the set of
+//! folded arrivals, so the [`FleetReport`] is **bit-identical at any
+//! thread count**.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -46,19 +41,6 @@ use crate::vehicle::{simulate_vehicle, SimContext, Upload};
 /// Number of points of the coverage-over-time curve.
 pub(crate) const COVERAGE_POINTS: usize = 32;
 
-/// Vehicles per fold block — the unit the simulation stage's deterministic
-/// floating-point reduction is built from. Worker chunks are whole block
-/// ranges, so every per-block partial (the BIST-time sums) covers the same
-/// vehicles regardless of thread count, and the serial left-fold over
-/// block sums in block order *is the definition* of the fleet-wide value.
-/// Small enough that modest fleets still split across workers; at 10M
-/// vehicles the per-block partials total ~1.25 MB. The gateway's block
-/// ledger (`gateway.rs`) reuses the same block geometry so its snapshot
-/// fold reproduces this reduction tree bit for bit; its one-`u64`
-/// presence mask per block requires `SIM_BLOCK <= 64`.
-pub(crate) const SIM_BLOCK: usize = 64;
-const _: () = assert!(SIM_BLOCK <= 64, "gateway block masks are single u64 words");
-
 /// Configuration of a fleet campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
@@ -71,14 +53,9 @@ pub struct CampaignConfig {
     pub horizon_s: f64,
     /// Campaign seed; per-vehicle seeds derive from it.
     pub seed: u64,
-    /// Worker threads; `0` = auto (all cores, `EEA_THREADS` overrides).
+    /// Worker threads for vehicle simulation and the gateway's diagnosis
+    /// stage; `0` = auto (all cores, `EEA_THREADS` overrides).
     pub threads: usize,
-    /// Diagnosis-stage shards; `0` = auto (the worker-thread resolution
-    /// above). The per-fault diagnosis cache is pure — every vehicle
-    /// carries the same CUT — so shards diagnose disjoint fault-index
-    /// ranges and merge by fault index: the report is bit-identical at
-    /// any shard count.
-    pub shards: usize,
     /// Shut-off event model vehicles draw their schedules from.
     pub shutoff: ShutoffModel,
     /// Gateway aggregation batch size (uploads per batch).
@@ -93,87 +70,37 @@ impl Default for CampaignConfig {
             horizon_s: 30.0 * 86_400.0,
             seed: 0xF1EE7CA4,
             threads: 0,
-            shards: 0,
             shutoff: ShutoffModel::default(),
             batch_size: 64,
         }
     }
 }
 
-/// Total upload order at the gateway: arrival time, then vehicle index.
-/// Each vehicle uploads at most once, so the key is strictly increasing
-/// along the merged sequence — no ties, which is why an unstable sort and
-/// any run partitioning of the k-way merge yield the same sequence.
-pub(crate) fn upload_order(a: &Upload, b: &Upload) -> Ordering {
-    a.time_s
-        .total_cmp(&b.time_s)
-        .then(a.vehicle.cmp(&b.vehicle))
-}
-
 /// Deterministic per-vehicle seed: one SplitMix64 output step over the
 /// campaign seed mixed with the vehicle index ([`Rng::mix`], no
 /// intermediate RNG state on the hot path). A pure function of
 /// `(campaign_seed, index)` — independent of thread count, chunking, and
-/// of whether the vehicle is simulated by [`Campaign::simulate`], fed
-/// through [`Campaign::feed`], or drawn from [`Campaign::arrivals`].
+/// of whether the vehicle is fed through [`Campaign::feed`] or drawn from
+/// [`Campaign::arrivals`].
 pub(crate) fn vehicle_seed(campaign_seed: u64, index: u32) -> u64 {
     Rng::mix(campaign_seed.wrapping_add(u64::from(index).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
-/// Partial aggregation state one simulation worker folds its contiguous
-/// block range into — the streaming replacement for the old per-vehicle
-/// outcome vector. Holds O(shard detections + shard blocks) memory.
-#[derive(Debug, Clone, Default)]
-struct ShardAccumulator {
-    /// This shard's uploads, sorted by [`upload_order`].
-    uploads: Vec<Upload>,
-    /// Vehicles of this shard carrying a seeded defect.
-    defective: u32,
-    /// BIST sessions completed in this shard.
-    sessions_completed: u64,
-    /// Shut-off windows in which BIST made progress.
-    windows_used: u64,
-    /// Per-[`SIM_BLOCK`] left-fold sums of vehicle BIST time, in block
-    /// order — the shard-count-independent reduction tree for the one
-    /// floating-point fleet counter.
-    block_bist_s: Vec<f64>,
-    /// Seeded-defect counts per ECU (exact integer merge).
-    seeded: BTreeMap<ResourceId, u32>,
-}
-
-/// The simulation stage's output: per-worker shard accumulators in
-/// vehicle-index order. Opaque — produce it with [`Campaign::simulate`]
-/// and feed it to [`Campaign::aggregate`] (possibly repeatedly: the
-/// aggregation borrows the shards immutably, which is what the
-/// aggregation-only benches exploit).
-#[derive(Debug, Clone)]
-pub struct FleetShards {
-    shards: Vec<ShardAccumulator>,
-}
-
-impl FleetShards {
-    /// Number of shards the fleet was folded into (= simulation workers
-    /// that received at least one block).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Fleet-wide number of fail-data uploads (= detections).
-    pub fn detections(&self) -> usize {
-        self.shards.iter().map(|s| s.uploads.len()).sum()
-    }
-}
-
 /// Wall-clock seconds of the pipeline stages, as measured by
-/// [`Campaign::run_timed`]. Kept **out** of [`FleetReport`] so reports
-/// stay comparable bit-for-bit across machines and thread counts.
+/// [`Campaign::run_timed`] and [`GatewayService::snapshot_at_timed`].
+/// Kept **out** of [`FleetReport`] so reports stay comparable bit-for-bit
+/// across machines and thread counts.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageTimings {
-    /// Parallel vehicle simulation fused with per-shard pre-aggregation.
+    /// Vehicle simulation fused with ingest: the whole feed of the fleet
+    /// into the gateway, block-ledger folds included. `0` for a bare
+    /// snapshot, whose arrivals were simulated elsewhere.
     pub simulate_s: f64,
-    /// K-way merge of per-shard sorted upload runs + counter folds.
+    /// The snapshot's time filter and global sort of the folded uploads
+    /// into `(time_s, vehicle)` order.
     pub merge_s: f64,
-    /// Sharded per-fault diagnosis of the distinct uploaded fault set.
+    /// Diagnosis of the diagnosis keys not yet cached: collecting the
+    /// missing keys plus the parallel dictionary lookups.
     pub diagnose_s: f64,
     /// Final serial scan: findings, batches, latency stats, coverage
     /// curve, per-ECU aggregation.
@@ -183,16 +110,15 @@ pub struct StageTimings {
     /// [`CutModel::dict_build_seconds`], identical across runs sharing a
     /// model).
     pub dict_build_s: f64,
-    /// Pure dictionary-lookup portion of the diagnose stage: the sharded
-    /// [`diagnose_faults`] call, excluding distinct-key set construction.
+    /// Pure dictionary-lookup portion of the diagnose stage: the parallel
+    /// `diagnose_faults` call, excluding missing-key collection.
     pub diagnose_lookup_s: f64,
 }
 
 /// Census-side fleet counters — everything a [`FleetReport`] carries that
-/// is *not* derived from the upload sequence. Folded exactly (integer
-/// adds, plus the fixed per-block reduction tree for the one
-/// floating-point sum), so both producers — the k-way shard merge here
-/// and the gateway's incremental ledger — arrive at bit-identical values.
+/// is *not* derived from the upload sequence. The gateway folds them
+/// exactly: integer adds, plus its fixed per-block reduction tree for the
+/// one floating-point sum.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FleetTotals {
     pub defective: u32,
@@ -202,23 +128,14 @@ pub(crate) struct FleetTotals {
     pub seeded: BTreeMap<ResourceId, u32>,
     /// Malformed upload frames the ingest boundary rejected (typed
     /// [`FleetError::MalformedUpload`], counted never folded). Always `0`
-    /// on the one-shot pipeline — only a gateway fed untrusted arrivals
-    /// can see rejects.
+    /// for a simulated fleet — only untrusted arrivals can be rejected.
     pub rejected_uploads: u64,
-}
-
-/// Everything the k-way merge produces: the globally ordered upload
-/// sequence plus the exactly merged fleet counters.
-struct MergedFleet {
-    uploads: Vec<Upload>,
-    totals: FleetTotals,
 }
 
 /// The fault half of a diagnosis key in a heterogeneous fleet: fault
 /// indices are only unique *within* a CUT family's model, so every
 /// dictionary lookup is keyed by `(family, index)`. `Ord` (family first)
-/// keeps the sharded diagnosis merge and the gateway's cache
-/// deterministic.
+/// keeps the gateway's diagnosis cache deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct FaultKey {
     pub family: CutFamily,
@@ -397,55 +314,31 @@ impl<'a> Campaign<'a> {
     /// timings (simulate / merge / diagnose / fold). The report itself
     /// carries no timing fields, so it stays bit-comparable.
     ///
-    /// Since the gateway ingest service landed, the one-shot run is a
-    /// thin wrapper over it: simulate-and-[`feed`](Self::feed) every
-    /// vehicle into a [`GatewayService`], then take the horizon snapshot.
-    /// The snapshot fold is bit-identical to the direct sharded
-    /// [`simulate`](Self::simulate)+[`aggregate`](Self::aggregate) path
-    /// (same reduction trees, same total upload order — proven by the
-    /// frozen 100k digest and the cross-pipeline unit test), which is
-    /// kept both as the borrow-only bench surface and as the typed
-    /// fallback should gateway provisioning ever fail.
+    /// The one-shot run is feed-everything-then-snapshot: every vehicle
+    /// is simulated into a fresh [`gateway`](Self::gateway), and the
+    /// report is its snapshot at the horizon.
     pub fn run_timed(&self) -> (FleetReport, StageTimings) {
-        match self.run_gateway_timed() {
-            Ok(done) => done,
-            // Unreachable for a validated campaign — the gateway
-            // re-validates the same bounds — but the policy is a typed
-            // fallback, never a panic: degrade to the direct path.
-            Err(_) => {
-                let t = Instant::now();
-                let shards = self.simulate();
-                let simulate_s = t.elapsed().as_secs_f64();
-                let (report, mut timings) = self.aggregate_timed(&shards);
-                timings.simulate_s = simulate_s;
-                (report, timings)
-            }
-        }
-    }
-
-    fn run_gateway_timed(&self) -> Result<(FleetReport, StageTimings), FleetError> {
         let t = Instant::now();
-        let mut svc = self.gateway()?;
-        self.feed(&mut svc)?;
+        let mut svc = self.gateway();
+        self.feed_fleet(&mut svc);
         let simulate_s = t.elapsed().as_secs_f64();
         let (snapshot, mut timings) = svc.snapshot_at_timed(self.config.horizon_s);
         timings.simulate_s = simulate_s;
-        Ok((snapshot.report, timings))
+        (snapshot.report, timings)
     }
 
     /// Provisions a [`GatewayService`] for this campaign's fleet: same
-    /// CUT, fleet size, horizon, batch size and shard/thread counts, with
-    /// the default ingest-queue bound. The service is independent of the
+    /// CUT, fleet size, horizon, batch size and thread count, with the
+    /// default ingest-queue bound. The service is independent of the
     /// campaign object afterwards — ingest arrivals from
     /// [`arrivals`](Self::arrivals), from [`feed`](Self::feed), or build
     /// [`VehicleArrival`]s yourself.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`GatewayService::new`] validation errors (none are
-    /// reachable from a validated campaign configuration).
-    pub fn gateway(&self) -> Result<GatewayService<'a>, FleetError> {
-        GatewayService::with_models(
+    /// Infallible: campaign validation already checked every bound the
+    /// gateway checks, and the queue bound is the nonzero
+    /// [`DEFAULT_QUEUE_CAPACITY`].
+    pub fn gateway(&self) -> GatewayService<'a> {
+        GatewayService::with_models_unchecked(
             self.cut,
             self.sram,
             GatewayConfig {
@@ -453,7 +346,7 @@ impl<'a> Campaign<'a> {
                 horizon_s: self.config.horizon_s,
                 batch_size: self.config.batch_size,
                 queue_capacity: DEFAULT_QUEUE_CAPACITY,
-                shards: self.config.shards,
+                shards: 0,
                 threads: self.config.threads,
             },
         )
@@ -461,127 +354,108 @@ impl<'a> Campaign<'a> {
 
     /// Streams the whole fleet into `svc` under backpressure: simulation
     /// workers produce [`VehicleArrival`] batches over contiguous
-    /// [`SIM_BLOCK`]-aligned index ranges and a bounded channel, the
-    /// calling thread folds them via [`GatewayService::accept`] (drain on
-    /// a full queue — the trusted producer blocks instead of shedding).
-    /// Arrival *interleaving* across workers is nondeterministic; the
-    /// snapshot taken afterwards is not, by the gateway's set-purity
-    /// contract.
+    /// vehicle-index ranges and a bounded channel, the calling thread
+    /// folds them via [`GatewayService::accept`] (drain on a full queue —
+    /// the trusted producer blocks instead of shedding). Arrival
+    /// *interleaving* across workers is nondeterministic; the snapshot
+    /// taken afterwards is not, by the gateway's set-purity contract.
     ///
     /// # Errors
     ///
-    /// Propagates ingest errors — [`FleetError::UnknownVehicle`] if `svc`
-    /// was provisioned for a smaller fleet than this campaign simulates.
+    /// [`FleetError::UnknownVehicle`], naming the first vehicle `svc`
+    /// cannot hold, if `svc` was provisioned for a smaller fleet than
+    /// this campaign simulates. Checked before anything is simulated, so
+    /// an undersized service folds nothing.
     pub fn feed(&self, svc: &mut GatewayService<'_>) -> Result<(), FleetError> {
-        /// Blocks per channel send: batches amortize channel and fold
-        /// bookkeeping over 64 × 64 = 4096 vehicles without growing the
-        /// in-flight footprint past a few MB at any thread count.
-        const FEED_BATCH_BLOCKS: usize = 64;
-        let n = self.config.vehicles as usize;
-        let blocks = n.div_ceil(SIM_BLOCK);
-        let threads = resolve_threads(self.config.threads).clamp(1, blocks);
-        let ctx = SimContext::new(
-            self.blueprints,
-            self.cut,
-            self.sram,
-            &self.sched_plans,
-            self.config.shutoff,
-            self.config.defect_fraction,
-            self.config.horizon_s,
-            self.config.seed,
-        );
-        if threads == 1 {
-            for i in 0..self.config.vehicles {
-                let o = simulate_vehicle(i, &ctx, vehicle_seed(self.config.seed, i));
-                svc.accept(VehicleArrival::from_outcome(&o))?;
-            }
-            return Ok(());
+        let fleet = svc.config().vehicles;
+        if fleet < self.config.vehicles {
+            return Err(FleetError::UnknownVehicle {
+                vehicle: fleet,
+                fleet,
+            });
         }
-        let chunk = blocks.div_ceil(threads);
-        std::thread::scope(|scope| -> Result<(), FleetError> {
+        self.feed_fleet(svc);
+        Ok(())
+    }
+
+    /// The feed loop behind [`feed`](Self::feed) and
+    /// [`run_timed`](Self::run_timed), for a service that holds the whole
+    /// fleet. There `accept` can only reject a malformed frame, which the
+    /// gateway already counts (`malformed`, and `rejected_uploads` in the
+    /// report's robustness block), so the loop drops its result.
+    fn feed_fleet(&self, svc: &mut GatewayService<'_>) {
+        /// Vehicles per channel send: batches amortize channel and fold
+        /// bookkeeping without growing the in-flight footprint past a few
+        /// MB at any thread count.
+        const FEED_BATCH: u32 = 4_096;
+        let n = self.config.vehicles;
+        let threads = resolve_threads(self.config.threads).clamp(1, n as usize);
+        let ctx = self.sim_context();
+        let seed = self.config.seed;
+        if threads == 1 {
+            // A direct loop over the local context rather than
+            // `self.arrivals()`: the serial feed is the one-shot hot path,
+            // so it stays free of the iterator's per-item bookkeeping.
+            for i in 0..n {
+                let o = simulate_vehicle(i, &ctx, vehicle_seed(seed, i));
+                let _ = svc.accept(VehicleArrival::from_outcome(&o));
+            }
+            return;
+        }
+        // The gateway's block ledger makes fold order irrelevant, so the
+        // workers take plain index ranges.
+        let chunk = n.div_ceil(u32::try_from(threads).unwrap_or(n));
+        let ctx = &ctx;
+        std::thread::scope(|scope| {
             let (tx, rx) = mpsc::sync_channel::<Vec<VehicleArrival>>(2 * threads);
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(blocks);
-                if lo >= hi {
-                    break;
-                }
+            for lo in (0..n).step_by(chunk as usize) {
+                let hi = n.min(lo.saturating_add(chunk));
                 let tx = tx.clone();
-                let ctx = &ctx;
-                let this = &*self;
                 scope.spawn(move || {
-                    let mut next = lo;
-                    while next < hi {
-                        let end = (next + FEED_BATCH_BLOCKS).min(hi);
-                        let mut batch = Vec::with_capacity((end - next) * SIM_BLOCK);
-                        for b in next..end {
-                            // In-bounds by construction (see fold_blocks);
-                            // saturate rather than wrap if that invariant
-                            // is ever broken.
-                            let vlo = u32::try_from(b * SIM_BLOCK).unwrap_or(u32::MAX);
-                            let vhi =
-                                u32::try_from(((b + 1) * SIM_BLOCK).min(n)).unwrap_or(u32::MAX);
-                            for i in vlo..vhi {
-                                let o = simulate_vehicle(i, ctx, vehicle_seed(this.config.seed, i));
-                                batch.push(VehicleArrival::from_outcome(&o));
-                            }
-                        }
-                        // A closed channel means the consumer bailed on an
-                        // ingest error; stop producing — the error is
-                        // already surfacing from the recv loop.
+                    for b in (lo..hi).step_by(FEED_BATCH as usize) {
+                        let batch = (b..hi.min(b.saturating_add(FEED_BATCH)))
+                            .map(|i| {
+                                let o = simulate_vehicle(i, ctx, vehicle_seed(seed, i));
+                                VehicleArrival::from_outcome(&o)
+                            })
+                            .collect();
+                        // A closed channel means the consumer unwound;
+                        // stop producing.
                         if tx.send(batch).is_err() {
                             return;
                         }
-                        next = end;
                     }
                 });
             }
             drop(tx);
             for batch in rx {
                 for arrival in batch {
-                    svc.accept(arrival)?;
+                    let _ = svc.accept(arrival);
                 }
             }
-            Ok(())
-        })
+        });
     }
 
     /// A serial iterator over the fleet's [`VehicleArrival`]s in vehicle
     /// index order — the soak bench's and tests' handle for driving a
     /// [`GatewayService`] at a controlled cadence. Each item is the same
-    /// pure per-vehicle outcome the parallel paths compute; O(1) memory.
+    /// pure per-vehicle outcome the parallel feed computes; O(1) memory.
     /// Borrows the campaign (the per-blueprint schedule plans live in
     /// it), so the iterator cannot outlive `self`.
     pub fn arrivals(&self) -> Arrivals<'_> {
         Arrivals {
-            ctx: SimContext::new(
-                self.blueprints,
-                self.cut,
-                self.sram,
-                &self.sched_plans,
-                self.config.shutoff,
-                self.config.defect_fraction,
-                self.config.horizon_s,
-                self.config.seed,
-            ),
+            ctx: self.sim_context(),
             seed: self.config.seed,
             next: 0,
             vehicles: self.config.vehicles,
         }
     }
 
-    /// Simulation stage: folds every vehicle into per-worker
-    /// [`FleetShards`], worklist-parallel over contiguous
-    /// [`SIM_BLOCK`]-aligned index ranges. No per-vehicle state survives
-    /// the fold — peak memory is O(detections + blocks).
-    pub fn simulate(&self) -> FleetShards {
-        let n = self.config.vehicles as usize;
-        let blocks = n.div_ceil(SIM_BLOCK);
-        let threads = resolve_threads(self.config.threads).clamp(1, blocks);
-        // Campaign-invariant context (blueprint work templates, fast
-        // blueprint divisor, campaign scalars), derived once for the whole
-        // fleet and shared read-only by every worker.
-        let ctx = SimContext::new(
+    /// The campaign-invariant simulation context (blueprint work
+    /// templates, fast blueprint divisor, campaign scalars), built once
+    /// per feed or arrival stream and shared read-only by its workers.
+    fn sim_context(&self) -> SimContext<'_> {
+        SimContext::new(
             self.blueprints,
             self.cut,
             self.sram,
@@ -590,149 +464,7 @@ impl<'a> Campaign<'a> {
             self.config.defect_fraction,
             self.config.horizon_s,
             self.config.seed,
-        );
-        if threads == 1 {
-            return FleetShards {
-                shards: vec![self.fold_blocks(&ctx, 0, blocks)],
-            };
-        }
-        let chunk = blocks.div_ceil(threads);
-        let mut shards = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(blocks);
-                if lo >= hi {
-                    break;
-                }
-                let this = &*self;
-                let ctx = &ctx;
-                handles.push(scope.spawn(move || this.fold_blocks(ctx, lo, hi)));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(acc) => shards.push(acc),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        FleetShards { shards }
-    }
-
-    /// Aggregation stage over simulated shards: deterministic k-way merge,
-    /// sharded diagnosis, serial final fold. Borrow-only, so the same
-    /// [`FleetShards`] can be aggregated repeatedly (e.g. at different
-    /// shard counts — the result is identical).
-    pub fn aggregate(&self, shards: &FleetShards) -> FleetReport {
-        self.aggregate_timed(shards).0
-    }
-
-    fn aggregate_timed(&self, shards: &FleetShards) -> (FleetReport, StageTimings) {
-        let t = Instant::now();
-        let merged = merge_shards(&shards.shards);
-        let merge_s = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        let (table, diagnose_lookup_s) = self.diagnosis_table(&merged.uploads);
-        let diagnose_s = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        let report = fold_report(
-            self.config.vehicles,
-            self.config.batch_size,
-            self.config.horizon_s,
-            &merged.uploads,
-            &merged.totals,
-            &table,
-        );
-        let fold_s = t.elapsed().as_secs_f64();
-
-        (
-            report,
-            StageTimings {
-                simulate_s: 0.0,
-                merge_s,
-                diagnose_s,
-                fold_s,
-                dict_build_s: self.cut.dict_build_seconds(),
-                diagnose_lookup_s,
-            },
         )
-    }
-
-    /// Folds the vehicles of blocks `[block_lo, block_hi)` into one shard
-    /// accumulator. BIST time is folded per block so the floating-point
-    /// reduction tree does not depend on how blocks are distributed over
-    /// workers.
-    fn fold_blocks(
-        &self,
-        ctx: &SimContext<'_>,
-        block_lo: usize,
-        block_hi: usize,
-    ) -> ShardAccumulator {
-        let n = self.config.vehicles as usize;
-        let mut acc = ShardAccumulator::default();
-        acc.block_bist_s.reserve(block_hi - block_lo);
-        for b in block_lo..block_hi {
-            // Checked, not `as`: `hi <= n = config.vehicles as usize`
-            // always fits u32, but a silent wrap here would quietly
-            // simulate the wrong index range — saturate instead if the
-            // invariant is ever broken by a future refactor.
-            let lo = u32::try_from(b * SIM_BLOCK).unwrap_or(u32::MAX);
-            let hi = u32::try_from(((b + 1) * SIM_BLOCK).min(n)).unwrap_or(u32::MAX);
-            let mut block_bist = 0.0f64;
-            for i in lo..hi {
-                let o = simulate_vehicle(i, ctx, vehicle_seed(self.config.seed, i));
-                if let Some(d) = o.defect {
-                    acc.defective += 1;
-                    *acc.seeded.entry(d.ecu).or_insert(0) += 1;
-                }
-                acc.sessions_completed += u64::from(o.sessions_completed);
-                acc.windows_used += u64::from(o.windows_used);
-                block_bist += o.bist_time_s;
-                if let Some(up) = o.upload {
-                    acc.uploads.push(up);
-                }
-            }
-            acc.block_bist_s.push(block_bist);
-        }
-        // `(time_s, vehicle)` is a total order — at most one upload per
-        // vehicle — so stability buys nothing over `sort_unstable_by`.
-        acc.uploads.sort_unstable_by(upload_order);
-        acc
-    }
-
-    /// Diagnoses every distinct uploaded diagnosis key against its
-    /// family's dictionary, sharded over disjoint contiguous key ranges.
-    /// Sound because the lookup is pure (the same CUT models fleet-wide:
-    /// two uploads of one key see identical observed payloads), and
-    /// deterministic because the merge is keyed by `(fault, impairment)`.
-    /// Every impaired key also diagnoses its clean twin, so the fold can
-    /// price localization degradation against the clean-channel baseline.
-    /// Returns the table plus the wall-clock seconds of the pure lookup
-    /// call (for [`StageTimings::diagnose_lookup_s`]).
-    fn diagnosis_table(&self, uploads: &[Upload]) -> (BTreeMap<DiagKey, DiagEntry>, f64) {
-        let mut set = BTreeSet::new();
-        for u in uploads {
-            let key = DiagKey::of(u);
-            set.insert(key);
-            set.insert(key.clean_twin());
-        }
-        let distinct: Vec<DiagKey> = set.into_iter().collect();
-        let t = Instant::now();
-        let table = diagnose_faults(self.cut, self.sram, &distinct, self.resolve_shards())
-            .into_iter()
-            .collect();
-        (table, t.elapsed().as_secs_f64())
-    }
-
-    fn resolve_shards(&self) -> usize {
-        if self.config.shards == 0 {
-            resolve_threads(0)
-        } else {
-            self.config.shards
-        }
     }
 }
 
@@ -768,32 +500,32 @@ impl Iterator for Arrivals<'_> {
 impl ExactSizeIterator for Arrivals<'_> {}
 
 /// Diagnoses the given distinct diagnosis keys against their family's
-/// dictionary, sharded over disjoint contiguous ranges of the input.
-/// Sound because the lookup is pure (the same CUT models fleet-wide: two
-/// uploads of one key see identical observed payloads), and deterministic
-/// because the output is keyed by `(fault, impairment)` — callers merge
-/// into a `BTreeMap`. Shared by [`Campaign::aggregate`] and the gateway's
-/// snapshot stage.
+/// dictionary, split over `threads` workers in disjoint contiguous ranges
+/// of the input — the gateway snapshot's diagnosis stage. Sound because
+/// the lookup is pure (the same CUT models fleet-wide: two uploads of one
+/// key see identical observed payloads), and deterministic because the
+/// output is keyed by `(fault, impairment)` — the caller merges it into
+/// a `BTreeMap`.
 pub(crate) fn diagnose_faults(
     cut: &CutModel,
     sram: Option<&MarchTest>,
     distinct: &[DiagKey],
-    shards: usize,
+    threads: usize,
 ) -> Vec<(DiagKey, DiagEntry)> {
     if distinct.is_empty() {
         return Vec::new();
     }
-    let shards = shards.max(1).min(distinct.len());
-    if shards == 1 {
+    let threads = threads.max(1).min(distinct.len());
+    if threads == 1 {
         return distinct
             .iter()
             .map(|&key| (key, diagnose_fault(cut, sram, key)))
             .collect();
     }
-    let chunk = distinct.len().div_ceil(shards);
+    let chunk = distinct.len().div_ceil(threads);
     let mut table = Vec::with_capacity(distinct.len());
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards);
+        let mut handles = Vec::with_capacity(threads);
         for part in distinct.chunks(chunk) {
             handles.push(scope.spawn(move || {
                 part.iter()
@@ -874,10 +606,9 @@ fn diagnose_fault(cut: &CutModel, sram: Option<&MarchTest>, key: DiagKey) -> Dia
 
 /// Final serial scan over a globally ordered upload sequence:
 /// arrival-order batches, latency statistics, the coverage curve and the
-/// per-ECU aggregation — exactly the pre-sharding semantics. A pure
-/// function of its inputs, shared by [`Campaign::aggregate`] and
-/// [`GatewayService::snapshot_at`]: that sharing *is* the argument that
-/// the one-shot report and the horizon snapshot agree bit for bit.
+/// per-ECU aggregation. A pure function of its inputs, and the last stage
+/// of [`GatewayService::snapshot_at`] — the one place a [`FleetReport`]
+/// is built, for mid-campaign snapshots and one-shot runs alike.
 pub(crate) fn fold_report(
     vehicles: u32,
     batch_size: usize,
@@ -1063,9 +794,9 @@ impl RobustnessAcc {
             ImpairmentKind::CorruptedSyndrome { .. } => self.corrupted_uploads += 1,
         }
         self.cap_truncated_uploads += u64::from(e.cap_truncated);
-        // The clean twin is always in the table (`diagnosis_table`
-        // inserts it alongside every key); degrade to zeros if that
-        // invariant is ever broken, never panic.
+        // The clean twin is always in the table (the snapshot diagnoses
+        // it alongside every key); degrade to zeros if that invariant is
+        // ever broken, never panic.
         let Some(c) = clean else { return };
         // Rank 0 encodes "true fault not even a candidate" — strictly
         // worse than any positive rank.
@@ -1113,50 +844,6 @@ impl RobustnessAcc {
                 .collect(),
         })
     }
-}
-
-/// Merges shard accumulators: a deterministic k-way merge of the
-/// per-shard sorted upload runs (the merge key is a total order, so the
-/// result is *the* sorted sequence regardless of run partitioning),
-/// exact integer folds for the counters, and the fixed per-block
-/// left-fold for the one floating-point counter.
-fn merge_shards(shards: &[ShardAccumulator]) -> MergedFleet {
-    let total: usize = shards.iter().map(|s| s.uploads.len()).sum();
-    let mut uploads = Vec::with_capacity(total);
-    let mut heads = vec![0usize; shards.len()];
-    loop {
-        let mut best: Option<(usize, &Upload)> = None;
-        for (s, shard) in shards.iter().enumerate() {
-            if let Some(u) = shard.uploads.get(heads[s]) {
-                let better = match best {
-                    None => true,
-                    Some((_, bu)) => upload_order(u, bu) == Ordering::Less,
-                };
-                if better {
-                    best = Some((s, u));
-                }
-            }
-        }
-        let Some((s, &u)) = best else {
-            break;
-        };
-        uploads.push(u);
-        heads[s] += 1;
-    }
-
-    let mut totals = FleetTotals::default();
-    for s in shards {
-        totals.defective += s.defective;
-        totals.sessions_completed += s.sessions_completed;
-        totals.windows_used += s.windows_used;
-        for &b in &s.block_bist_s {
-            totals.bist_time_s += b;
-        }
-        for (&ecu, &count) in &s.seeded {
-            *totals.seeded.entry(ecu).or_insert(0) += count;
-        }
-    }
-    MergedFleet { uploads, totals }
 }
 
 #[derive(Default)]
@@ -1354,50 +1041,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn report_is_bit_identical_across_shard_counts() {
-        let cut = small_cut();
-        let bp = [capable_blueprint()];
-        let mut cfg = CampaignConfig {
-            vehicles: 300,
-            defect_fraction: 0.2,
-            horizon_s: 7.0 * 86_400.0,
-            seed: 9,
-            threads: 2,
-            shards: 1,
-            ..CampaignConfig::default()
-        };
-        let serial = Campaign::new(&cut, &bp, cfg.clone()).expect("valid").run();
-        for shards in [2, 3, 8] {
-            cfg.shards = shards;
-            let sharded = Campaign::new(&cut, &bp, cfg.clone()).expect("valid").run();
-            assert_eq!(sharded, serial, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn simulate_then_aggregate_equals_run() {
-        let cut = small_cut();
-        let bp = [capable_blueprint()];
-        let cfg = CampaignConfig {
-            vehicles: 260,
-            defect_fraction: 0.3,
-            horizon_s: 14.0 * 86_400.0,
-            seed: 3,
-            threads: 3,
-            ..CampaignConfig::default()
-        };
-        let campaign = Campaign::new(&cut, &bp, cfg).expect("valid");
-        let shards = campaign.simulate();
-        // 260 vehicles = 5 blocks over 3 workers: every worker got blocks.
-        assert_eq!(shards.shard_count(), 3);
-        let report = campaign.aggregate(&shards);
-        assert_eq!(report.detected as usize, shards.detections());
-        assert_eq!(report, campaign.run());
-        // Aggregation is borrow-only: a second pass is identical.
-        assert_eq!(campaign.aggregate(&shards), report);
-    }
-
     /// Regression for the silent `as u32` wraps in the report counters:
     /// the derived counters are u64 now — the `let _: u64` bindings pin
     /// the widths at the type level, so a narrowing refactor fails to
@@ -1428,9 +1071,8 @@ mod tests {
         assert_eq!(report.batches, report.detected);
     }
 
-    /// The one-shot run is now a thin wrapper over the gateway: feeding
-    /// every arrival by hand and snapshotting at the horizon must equal
-    /// both `run()` and the direct sharded simulate+aggregate path.
+    /// The one-shot run is a thin wrapper over the gateway: feeding every
+    /// arrival by hand and snapshotting at the horizon must equal `run()`.
     #[test]
     fn one_shot_run_is_the_gateway_wrapper() {
         let cut = small_cut();
@@ -1441,15 +1083,12 @@ mod tests {
             horizon_s: 14.0 * 86_400.0,
             seed: 3,
             threads: 2,
-            shards: 2,
             ..CampaignConfig::default()
         };
         let campaign = Campaign::new(&cut, &bp, cfg).expect("valid");
-        let direct = campaign.aggregate(&campaign.simulate());
         let run = campaign.run();
-        assert_eq!(run, direct, "gateway wrapper == direct sharded path");
 
-        let mut svc = campaign.gateway().expect("provision");
+        let mut svc = campaign.gateway();
         for arrival in campaign.arrivals() {
             svc.accept(arrival)
                 .expect("trusted path drains, never sheds");
@@ -1459,6 +1098,41 @@ mod tests {
         assert_eq!(snap.ingested, u64::from(campaign.config().vehicles));
         assert_eq!(snap.shed, 0);
         assert_eq!(snap.duplicates, 0);
+    }
+
+    /// `feed` into a service provisioned for fewer vehicles than the
+    /// campaign fails typed before folding anything, serial and parallel.
+    #[test]
+    fn feed_into_an_undersized_gateway_folds_nothing() {
+        let cut = small_cut();
+        let bp = [capable_blueprint()];
+        for threads in [1, 4] {
+            let cfg = CampaignConfig {
+                vehicles: 300,
+                defect_fraction: 0.3,
+                threads,
+                ..CampaignConfig::default()
+            };
+            let campaign = Campaign::new(&cut, &bp, cfg).expect("valid");
+            let mut svc = GatewayService::new(
+                &cut,
+                GatewayConfig {
+                    vehicles: 200,
+                    ..GatewayConfig::default()
+                },
+            )
+            .expect("provision");
+            assert_eq!(
+                campaign.feed(&mut svc),
+                Err(FleetError::UnknownVehicle {
+                    vehicle: 200,
+                    fleet: 200
+                }),
+                "threads={threads}"
+            );
+            assert_eq!(svc.drain(), 0, "nothing queued, threads={threads}");
+            assert_eq!(svc.ingested(), 0, "nothing folded, threads={threads}");
+        }
     }
 
     #[test]

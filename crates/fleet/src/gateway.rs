@@ -1,12 +1,12 @@
-//! The long-lived **gateway ingest service**: the streaming face of the
-//! fleet campaign engine.
+//! The long-lived **gateway ingest service**: the one place the fleet
+//! campaign engine builds a [`FleetReport`].
 //!
-//! Where [`Campaign::run`](crate::Campaign::run) answers "what does the
-//! whole campaign look like at the horizon", a [`GatewayService`] answers
-//! the production question: vehicles upload fail data over (simulated)
-//! wall-clock time, the service folds arrivals incrementally, and a
-//! [`FleetReport`] is a **point-in-time snapshot** queryable mid-campaign
-//! via [`GatewayService::snapshot_at`]. Ingest is a real service
+//! Vehicles upload fail data over (simulated) wall-clock time, the
+//! service folds arrivals incrementally, and a [`FleetReport`] is a
+//! **point-in-time snapshot** queryable mid-campaign via
+//! [`GatewayService::snapshot_at`].
+//! [`Campaign::run`](crate::Campaign::run) is the special case that feeds
+//! the whole fleet and snapshots at the horizon. Ingest is a real service
 //! boundary: a bounded queue ([`GatewayConfig::queue_capacity`]) sheds
 //! arrivals with a typed [`FleetError::Overloaded`] when full, unknown
 //! vehicle indices are rejected ([`FleetError::UnknownVehicle`]), and
@@ -32,25 +32,24 @@
 //!    *not* folded in arrival order. Each vehicle's BIST time is parked
 //!    in its slot of a [`SIM_BLOCK`]-sized block buffer; a block's sum is
 //!    the left-fold over its slots **in vehicle-index order**, and the
-//!    total is the left-fold over block sums **in block order** — exactly
-//!    the reduction tree DESIGN.md §10 fixed for the one-shot pipeline,
-//!    reproduced here arrival-order-independently. Full blocks collapse
-//!    to one f64 (the open buffer is freed), so steady-state memory stays
-//!    O(detections + blocks).
+//!    total is the left-fold over block sums **in block order** — the
+//!    fixed reduction tree of DESIGN.md §10, whatever the arrival order.
+//!    Full blocks collapse to one f64 (the open buffer is freed), so
+//!    steady-state memory stays O(detections + blocks).
 //! 4. **Sort-at-snapshot under a total order.** The snapshot gathers the
 //!    time-filtered uploads and sorts by `(time_s, vehicle)` — a total
 //!    order with unique keys (one upload per vehicle), so the globally
-//!    sorted sequence equals the one-shot pipeline's k-way merge output
-//!    no matter how arrivals were interleaved. Diagnosis is pure per
-//!    fault index (cached across snapshots) and the final fold is the
-//!    *same function* ([`fold_report`]) the one-shot path runs.
+//!    sorted sequence is the same no matter how arrivals were
+//!    interleaved. Diagnosis is pure per diagnosis key (cached across
+//!    snapshots) and the final fold ([`fold_report`]) is a pure function
+//!    of the sorted sequence.
 //!
-//! Consequence: ingesting the whole fleet and snapshotting at the horizon
-//! is bit-identical to `Campaign::run` — the frozen 100k digest in
-//! `tests/fleet_frozen_report.rs` now pins both pipelines, and
-//! `tests/fleet_determinism.rs` proptests snapshots across
-//! interleaving × thread × shard × capacity sweeps.
+//! Consequence: the report depends only on what was ingested. The frozen
+//! 100k digest in `tests/fleet_frozen_report.rs` pins the horizon
+//! snapshot of a whole fleet, and `tests/fleet_determinism.rs` proptests
+//! snapshots across interleaving × thread × shard × capacity sweeps.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -59,18 +58,38 @@ use eea_faultsim::resolve_threads;
 use eea_model::ResourceId;
 
 use crate::campaign::{
-    diagnose_faults, fold_report, upload_order, DiagEntry, DiagKey, FleetTotals, StageTimings,
-    SIM_BLOCK,
+    diagnose_faults, fold_report, DiagEntry, DiagKey, FleetTotals, StageTimings,
 };
 use crate::cut::CutModel;
 use crate::error::{FleetError, MalformedKind};
 use crate::report::FleetReport;
 use crate::vehicle::{Upload, VehicleOutcome};
 
-/// Default bound of the ingest queue: deep enough that the one-shot
-/// wrapper's 4096-arrival feed batches never shed, small enough that a
-/// stalled consumer surfaces as backpressure instead of unbounded memory.
+/// Default bound of the ingest queue: deep enough to hold a whole
+/// 4096-arrival feed batch, small enough that a stalled consumer surfaces
+/// as backpressure instead of unbounded memory. Nonzero, which is what
+/// lets [`Campaign::gateway`](crate::Campaign::gateway) provision without
+/// a fallible check.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 8_192;
+const _: () = assert!(DEFAULT_QUEUE_CAPACITY > 0);
+
+/// Vehicles per ledger block — the unit of the fixed floating-point
+/// reduction tree: a block's BIST-time sum is the left-fold over its
+/// slots in vehicle-index order, and the fleet-wide value is the
+/// left-fold over block sums in block order. At 10M vehicles the block
+/// sums total ~1.25 MB. The one-`u64` presence mask per block requires
+/// `SIM_BLOCK <= 64`.
+pub(crate) const SIM_BLOCK: usize = 64;
+const _: () = assert!(SIM_BLOCK <= 64, "gateway block masks are single u64 words");
+
+/// Total upload order at the gateway: arrival time, then vehicle index.
+/// Each vehicle uploads at most once, so no two uploads compare equal —
+/// which is why an unstable sort yields the one canonical sequence.
+fn upload_order(a: &Upload, b: &Upload) -> Ordering {
+    a.time_s
+        .total_cmp(&b.time_s)
+        .then(a.vehicle.cmp(&b.vehicle))
+}
 
 /// One vehicle's complete contribution to the campaign, as uploaded to
 /// the gateway: the (optional) fail-data upload plus the census counters
@@ -122,9 +141,10 @@ pub struct GatewayConfig {
     /// [`ingest`](GatewayService::ingest) calls shed with
     /// [`FleetError::Overloaded`] until a [`drain`](GatewayService::drain).
     pub queue_capacity: usize,
-    /// Storage shards uploads are routed into (`vehicle % shards`) and
-    /// diagnosis-stage parallelism; `0` = auto. Snapshots are
-    /// bit-identical at any value.
+    /// Storage shards uploads are routed into (`vehicle % shards`); `0` =
+    /// auto (the resolved thread count). Only storage: the snapshot
+    /// flattens and re-sorts the shards, so snapshots are bit-identical
+    /// at any value.
     pub shards: usize,
     /// Worker threads for the snapshot's diagnosis stage; `0` = auto.
     /// Snapshots are bit-identical at any value.
@@ -254,6 +274,18 @@ impl<'a> GatewayService<'a> {
         if config.queue_capacity == 0 {
             return Err(FleetError::ZeroQueueCapacity);
         }
+        Ok(GatewayService::with_models_unchecked(cut, sram, config))
+    }
+
+    /// [`with_models`](Self::with_models) without the bound checks, for a
+    /// caller that has already validated every bound `with_models`
+    /// checks — a validated [`Campaign`](crate::Campaign) with the
+    /// nonzero [`DEFAULT_QUEUE_CAPACITY`].
+    pub(crate) fn with_models_unchecked(
+        cut: &'a CutModel,
+        sram: Option<&'a MarchTest>,
+        config: GatewayConfig,
+    ) -> Self {
         let shard_count = if config.shards == 0 {
             resolve_threads(config.threads)
         } else {
@@ -261,7 +293,7 @@ impl<'a> GatewayService<'a> {
         }
         .max(1);
         let blocks = (config.vehicles as usize).div_ceil(SIM_BLOCK);
-        Ok(GatewayService {
+        GatewayService {
             cut,
             sram,
             shard_count,
@@ -281,7 +313,7 @@ impl<'a> GatewayService<'a> {
             duplicates: 0,
             malformed: 0,
             config,
-        })
+        }
     }
 
     /// The service configuration.
@@ -478,7 +510,7 @@ impl<'a> GatewayService<'a> {
     /// The deterministic fleet-wide BIST-time sum over everything folded
     /// so far: left-fold over block sums in block order, partial blocks
     /// folded over their present slots in vehicle-index order. For a
-    /// complete census this is exactly the one-shot pipeline's reduction
+    /// complete census this is exactly the fixed [`SIM_BLOCK`] reduction
     /// tree.
     fn bist_time_total(&self) -> f64 {
         let mut total = 0.0f64;
@@ -525,8 +557,8 @@ impl<'a> GatewayService<'a> {
             .copied()
             .collect();
         // Total order with unique keys (one upload per vehicle): the
-        // global sort is *the* gateway-arrival order, equal to the
-        // one-shot pipeline's k-way merge.
+        // global sort is *the* gateway-arrival order, whatever the shard
+        // routing and arrival interleaving.
         uploads.sort_unstable_by(upload_order);
         let merge_s = t.elapsed().as_secs_f64();
 
@@ -766,7 +798,7 @@ mod tests {
         let cut = small_cut();
         let bp = [capable_blueprint()];
         let campaign = small_campaign(&cut, &bp, 64, 17);
-        let mut svc = campaign.gateway().expect("provision");
+        let mut svc = campaign.gateway();
         let good = campaign
             .arrivals()
             .find(|a| a.upload.is_some())
@@ -844,7 +876,7 @@ mod tests {
         let cut = small_cut();
         let bp = [capable_blueprint()];
         let campaign = small_campaign(&cut, &bp, 64, 13);
-        let mut svc = campaign.gateway().expect("provision");
+        let mut svc = campaign.gateway();
         let arrivals: Vec<VehicleArrival> = campaign.arrivals().collect();
         for &a in &arrivals {
             svc.accept(a).expect("in range");
@@ -891,7 +923,7 @@ mod tests {
         let cut = small_cut();
         let bp = [capable_blueprint()];
         let campaign = small_campaign(&cut, &bp, 256, 7);
-        let mut svc = campaign.gateway().expect("provision");
+        let mut svc = campaign.gateway();
         let first = campaign
             .arrivals()
             .find(|a| a.upload.is_some())
@@ -924,7 +956,7 @@ mod tests {
         let cut = small_cut();
         let bp = [capable_blueprint()];
         let campaign = small_campaign(&cut, &bp, 300, 41);
-        let mut svc = campaign.gateway().expect("provision");
+        let mut svc = campaign.gateway();
         for a in campaign.arrivals() {
             svc.accept(a).expect("in range");
         }
@@ -986,7 +1018,7 @@ mod tests {
             },
         )
         .expect("valid campaign");
-        let mut svc = campaign.gateway().expect("provision");
+        let mut svc = campaign.gateway();
         for a in campaign.arrivals() {
             svc.accept(a).expect("in range");
         }

@@ -24,23 +24,21 @@
 //!    [`Transport`](eea_can::Transport) backend (classic mirrored CAN,
 //!    CAN FD, FlexRay static slots — DESIGN.md §9),
 //! 3. [`ShutoffModel`] — per-vehicle driving/parked alternation,
-//! 4. [`Campaign`] — seeded fleet generation and the **streaming, sharded
-//!    pipeline** (DESIGN.md §10): worker threads fold contiguous
-//!    vehicle-index blocks straight into [`FleetShards`] (simulation
-//!    fused with pre-aggregation, peak memory O(detections + shards)),
-//!    per-shard sorted upload runs k-way merge deterministically, and
-//!    the diagnosis stage shards the pure per-fault dictionary lookups,
-//! 5. [`FleetReport`] — detection-latency distribution, per-ECU candidate
+//! 4. [`Campaign`] — seeded fleet generation: worker threads simulate
+//!    contiguous vehicle-index ranges and [`feed`](Campaign::feed) the
+//!    outcomes into a gateway (DESIGN.md §10), never materializing a
+//!    per-vehicle vector (peak memory O(detections + blocks)),
+//! 5. [`GatewayService`] — the one aggregation path (DESIGN.md §12):
+//!    vehicles upload [`VehicleArrival`]s over simulated wall-clock time
+//!    through a bounded queue (typed [`FleetError::Overloaded`] shed
+//!    policy), arrivals fold incrementally into an order-free block
+//!    ledger, and [`GatewayService::snapshot_at`] yields a point-in-time
+//!    [`GatewaySnapshot`] mid-campaign — bit-identical regardless of
+//!    arrival interleaving. [`Campaign::run`] is feed-everything, then
+//!    snapshot at the horizon,
+//! 6. [`FleetReport`] — detection-latency distribution, per-ECU candidate
 //!    rankings, campaign coverage over time; bit-identical at any thread
-//!    count *and* any shard count,
-//! 6. [`GatewayService`] — the long-lived ingest face of the same engine
-//!    (DESIGN.md §12): vehicles upload [`VehicleArrival`]s over simulated
-//!    wall-clock time through a bounded queue (typed
-//!    [`FleetError::Overloaded`] shed policy), arrivals fold
-//!    incrementally, and [`GatewayService::snapshot_at`] yields a
-//!    point-in-time [`GatewaySnapshot`] mid-campaign — bit-identical
-//!    regardless of arrival interleaving. [`Campaign::run`] is a thin
-//!    wrapper over feed-everything-then-snapshot.
+//!    count.
 //!
 //! # Example
 //!
@@ -91,7 +89,7 @@ pub use eea_sched::{
 };
 // The transport and channel-impairment axes are part of the blueprint
 // surface; re-exported so campaign drivers need not name `eea_can`.
-pub use campaign::{Arrivals, Campaign, CampaignConfig, FleetShards, StageTimings};
+pub use campaign::{Arrivals, Campaign, CampaignConfig, StageTimings};
 pub use cut::{CutConfig, CutModel};
 pub use eea_can::{
     ChannelConfig, ChannelError, ChannelModel, Impairment, ImpairmentKind, NoisyChannel,

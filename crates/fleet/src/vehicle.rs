@@ -191,8 +191,8 @@ impl FastMod {
 /// Everything campaign-invariant the per-vehicle loop reads: the
 /// blueprint set with its precomputed work templates and fast blueprint
 /// divisor, the shared CUT, the shut-off model, and the campaign scalars.
-/// Built once per campaign ([`SimContext::new`]) and shared read-only by
-/// every simulation worker.
+/// Built once per feed or arrival stream (`Campaign::sim_context`) and
+/// shared read-only by every simulation worker.
 pub(crate) struct SimContext<'a> {
     pub blueprints: &'a [VehicleBlueprint],
     pub cut: &'a CutModel,

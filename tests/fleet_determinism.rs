@@ -1,14 +1,14 @@
 //! Property tests for the fleet engine's determinism contract: for a
-//! *random* campaign configuration, the fleet report at 1 worker thread /
-//! 1 aggregation shard is bit-identical to the report at N threads and M
-//! shards — same discipline as `tests/parallel_determinism.rs`, but with
-//! the configuration space explored by proptest instead of a fixed
-//! workload. Covers both axes of the sharded pipeline (DESIGN.md §10):
-//! the simulation-stage fold (thread count) and the diagnosis-stage
-//! sharding (shard count), across all three transport backends — plus
-//! the gateway ingest service's snapshot-under-load contract
-//! (DESIGN.md §12): mid-campaign snapshots are bit-identical across
-//! arrival interleaving × queue capacity × thread × shard sweeps.
+//! *random* campaign configuration, the serial fleet report (1 worker
+//! thread, 1 gateway shard) is bit-identical to the report of an N-thread
+//! feed into an M-shard gateway — same discipline as
+//! `tests/parallel_determinism.rs`, but with the configuration space
+//! explored by proptest instead of a fixed workload. Covers the feed's
+//! thread count and the gateway's storage-shard count (DESIGN.md §10)
+//! across all three transport backends — plus the gateway ingest
+//! service's snapshot-under-load contract (DESIGN.md §12): mid-campaign
+//! snapshots are bit-identical across arrival interleaving × queue
+//! capacity × thread × shard sweeps.
 
 use std::sync::OnceLock;
 
@@ -16,8 +16,9 @@ use proptest::prelude::*;
 
 use eea_fleet::{
     Campaign, CampaignConfig, ChannelConfig, CutConfig, CutFamily, CutModel, EcuSessionPlan,
-    GatewayConfig, GatewayService, MarchTest, NoisyChannel, PeriodicTask, ShutoffModel,
-    SporadicTask, SramConfig, TaskSetConfig, TransportKind, VehicleArrival, VehicleBlueprint,
+    GatewayConfig, GatewayService, GatewaySnapshot, MarchTest, NoisyChannel, PeriodicTask,
+    ShutoffModel, SporadicTask, SramConfig, TaskSetConfig, TransportKind, VehicleArrival,
+    VehicleBlueprint,
 };
 use eea_model::ResourceId;
 use eea_moea::Rng;
@@ -119,6 +120,34 @@ fn channel_blueprints(transport: TransportKind, channel: ChannelConfig) -> Vec<V
     bp
 }
 
+/// Feeds `campaign` (at its own thread count) into a gateway with
+/// `shards` storage shards and snapshots at the horizon — `run()` with
+/// the gateway's shard count exposed as a test axis.
+fn feed_sharded(
+    campaign: &Campaign<'_>,
+    sram: Option<&MarchTest>,
+    shards: usize,
+) -> GatewaySnapshot {
+    let cfg = campaign.config();
+    let mut svc = GatewayService::with_models(
+        cut(),
+        sram,
+        GatewayConfig {
+            vehicles: cfg.vehicles,
+            horizon_s: cfg.horizon_s,
+            batch_size: cfg.batch_size,
+            shards,
+            threads: cfg.threads,
+            ..GatewayConfig::default()
+        },
+    )
+    .unwrap_or_else(|e| panic!("provisions: {e}"));
+    campaign
+        .feed(&mut svc)
+        .unwrap_or_else(|e| panic!("feeds: {e}"));
+    svc.snapshot_at(cfg.horizon_s)
+}
+
 /// A busy-but-schedulable task set: two periodic tasks (hyperperiod
 /// 60 s, utilization 0.35), one sporadic task, a 5 s minimum slice.
 fn busy_task_set() -> TaskSetConfig {
@@ -197,8 +226,8 @@ proptest! {
 
     /// The determinism contract over heterogeneous CUT families *and*
     /// schedule-derived windows: a mixed logic/SRAM fleet whose
-    /// blueprints carry a busy task set reports bit-identically at 1
-    /// thread / 1 shard and at N threads / M shards.
+    /// blueprints carry a busy task set reports bit-identically serially
+    /// and from an N-thread feed into an M-shard gateway.
     #[test]
     fn mixed_family_campaign_is_thread_and_shard_independent(
         vehicles in 1u32..200,
@@ -219,7 +248,6 @@ proptest! {
             defect_fraction: defect_pct as f64 / 100.0,
             seed,
             threads: 1,
-            shards: 1,
             ..CampaignConfig::default()
         };
         let serial = Campaign::with_models(cut(), Some(sram()), &bp, cfg.clone())
@@ -233,11 +261,9 @@ proptest! {
             prop_assert_eq!(split, serial.detected);
         }
         cfg.threads = threads;
-        cfg.shards = shards;
-        let parallel = Campaign::with_models(cut(), Some(sram()), &bp, cfg)
-            .unwrap_or_else(|e| panic!("valid campaign: {e}"))
-            .run();
-        prop_assert_eq!(parallel, serial);
+        let campaign = Campaign::with_models(cut(), Some(sram()), &bp, cfg)
+            .unwrap_or_else(|e| panic!("valid campaign: {e}"));
+        prop_assert_eq!(feed_sharded(&campaign, Some(sram()), shards).report, serial);
     }
 
     #[test]
@@ -258,7 +284,6 @@ proptest! {
             horizon_s: horizon_days as f64 * 86_400.0,
             seed,
             threads: 1,
-            shards: 1,
             shutoff: ShutoffModel::default(),
             batch_size,
         };
@@ -266,43 +291,9 @@ proptest! {
             .unwrap_or_else(|e| panic!("valid campaign: {e}"))
             .run();
         cfg.threads = threads;
-        cfg.shards = shards;
-        let parallel = Campaign::new(cut(), &bp, cfg)
-            .unwrap_or_else(|e| panic!("valid campaign: {e}"))
-            .run();
-        prop_assert_eq!(parallel, serial);
-    }
-
-    /// The tentpole contract of the sharded gateway: serial aggregation
-    /// (1 shard) and sharded aggregation produce the identical
-    /// `FleetReport` across {1, 2, 3, 8} shards, for every transport
-    /// backend, over the *same* simulated shards — aggregation is
-    /// borrow-only, so one simulation feeds every shard count.
-    #[test]
-    fn sharded_aggregation_matches_serial_aggregate(
-        vehicles in 1u32..300,
-        defect_pct in 0usize..=100,
-        seed in 0u64..u64::MAX,
-        transport_idx in 0usize..3,
-    ) {
-        let bp = blueprints(TransportKind::ALL[transport_idx]);
-        let cfg = CampaignConfig {
-            vehicles,
-            defect_fraction: defect_pct as f64 / 100.0,
-            seed,
-            threads: 2,
-            shards: 1,
-            ..CampaignConfig::default()
-        };
-        let campaign = Campaign::new(cut(), &bp, cfg.clone())
-            .unwrap_or_else(|e| panic!("valid campaign: {e}"))
-            .run();
-        for shards in [1usize, 2, 3, 8] {
-            let sharded = Campaign::new(cut(), &bp, CampaignConfig { shards, ..cfg.clone() })
-                .unwrap_or_else(|e| panic!("valid campaign: {e}"))
-                .run();
-            prop_assert_eq!(&sharded, &campaign, "shards = {}", shards);
-        }
+        let campaign = Campaign::new(cut(), &bp, cfg)
+            .unwrap_or_else(|e| panic!("valid campaign: {e}"));
+        prop_assert_eq!(feed_sharded(&campaign, None, shards).report, serial);
     }
 
     /// The gateway tentpole contract, snapshot-under-load determinism: a
@@ -377,7 +368,7 @@ proptest! {
     /// The one-shot wrapper under *real* producer nondeterminism: feeding
     /// the whole fleet through the parallel bounded-channel producers and
     /// snapshotting at the horizon equals the serial `run()`, at any
-    /// thread and shard count.
+    /// feed thread count and gateway shard count.
     #[test]
     fn gateway_feed_at_any_parallelism_matches_run(
         vehicles in 1u32..260,
@@ -393,17 +384,14 @@ proptest! {
             defect_fraction: defect_pct as f64 / 100.0,
             seed,
             threads: 1,
-            shards: 1,
             ..CampaignConfig::default()
         };
         let serial = Campaign::new(cut(), &bp, cfg.clone())
             .unwrap_or_else(|e| panic!("valid campaign: {e}"))
             .run();
-        let campaign = Campaign::new(cut(), &bp, CampaignConfig { threads, shards, ..cfg })
+        let campaign = Campaign::new(cut(), &bp, CampaignConfig { threads, ..cfg })
             .unwrap_or_else(|e| panic!("valid campaign: {e}"));
-        let mut svc = campaign.gateway().unwrap_or_else(|e| panic!("provisions: {e}"));
-        campaign.feed(&mut svc).unwrap_or_else(|e| panic!("feeds: {e}"));
-        let snap = svc.snapshot_at(campaign.config().horizon_s);
+        let snap = feed_sharded(&campaign, None, shards);
         prop_assert_eq!(snap.report, serial);
         prop_assert_eq!(snap.ingested, u64::from(vehicles));
         prop_assert_eq!(snap.shed, 0, "the trusted feed path never sheds");
@@ -454,8 +442,8 @@ proptest! {
 
     /// The determinism contract under *active* impairment: a fleet on an
     /// aggressively noisy channel (frame errors, corruption, window loss,
-    /// a tight truncation cap) reports bit-identically at 1 thread /
-    /// 1 shard versus N threads / M shards — including the f64
+    /// a tight truncation cap) reports bit-identically serially and from
+    /// an N-thread feed into an M-shard gateway — including the f64
     /// retransmit-overhead accumulator and the robustness rank CDF — and
     /// the identical report falls out of the gateway when the same
     /// arrivals are fed in a random interleaving through a small bounded
@@ -484,23 +472,18 @@ proptest! {
             defect_fraction: defect_pct as f64 / 100.0,
             seed,
             threads: 1,
-            shards: 1,
             ..CampaignConfig::default()
         };
         let serial = Campaign::new(cut(), &bp, cfg.clone())
             .unwrap_or_else(|e| panic!("valid campaign: {e}"))
             .run();
         cfg.threads = threads;
-        cfg.shards = shards;
-        let parallel = Campaign::new(cut(), &bp, cfg.clone())
-            .unwrap_or_else(|e| panic!("valid campaign: {e}"))
-            .run();
-        prop_assert_eq!(&parallel, &serial);
+        let campaign = Campaign::new(cut(), &bp, cfg)
+            .unwrap_or_else(|e| panic!("valid campaign: {e}"));
+        prop_assert_eq!(&feed_sharded(&campaign, None, shards).report, &serial);
 
         // The same fleet through the gateway service: shuffled arrival
         // order, bounded queue, snapshot at the horizon.
-        let campaign = Campaign::new(cut(), &bp, cfg)
-            .unwrap_or_else(|e| panic!("valid campaign: {e}"));
         let mut arrivals: Vec<VehicleArrival> = campaign.arrivals().collect();
         let mut rng = Rng::new(shuffle_seed);
         for i in (1..arrivals.len()).rev() {

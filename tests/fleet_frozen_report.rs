@@ -1,9 +1,9 @@
-//! Frozen-report regression for the sharded gateway pipeline: a
+//! Frozen-report regression for the fleet campaign pipeline: a
 //! 100 000-vehicle campaign at the benchmark seed is pinned **bit-for-bit**
 //! — headline counters exactly, plus an FNV-1a digest of the full
 //! `FleetReport` Debug rendering (covering every finding, latency
 //! percentile, coverage point and per-ECU row). Any change to the
-//! simulate/merge/diagnose/fold pipeline that alters even one bit of the
+//! simulate/sort/diagnose/fold pipeline that alters even one bit of the
 //! report fails this test; intentional semantic changes must re-freeze the
 //! constants below and say why in the commit.
 
@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 use eea_fleet::{
     Campaign, CampaignConfig, ChannelConfig, CutConfig, CutFamily, CutModel, EcuSessionPlan,
-    FleetReport, TransportKind, VehicleBlueprint,
+    FleetReport, GatewayConfig, GatewayService, TransportKind, VehicleBlueprint,
 };
 use eea_model::ResourceId;
 
@@ -125,21 +125,36 @@ fn full_report_digest_is_frozen() {
     );
 }
 
-/// The frozen digest must also come out of an explicitly sharded,
-/// explicitly threaded run — the 100 000-vehicle instantiation of the
-/// determinism contract the proptests check on small fleets.
+/// The frozen digest must also come out of an explicitly threaded feed
+/// into an explicitly sharded gateway — the 100 000-vehicle instantiation
+/// of the determinism contract the proptests check on small fleets.
 #[test]
 fn digest_survives_explicit_threads_and_shards() {
+    let cut = cut();
+    let bp = blueprints();
     let cfg = CampaignConfig {
         vehicles: VEHICLES,
         seed: SEED,
         threads: 3,
-        shards: 5,
         ..CampaignConfig::default()
     };
-    let report = Campaign::new(&cut(), &blueprints(), cfg)
-        .unwrap_or_else(|e| panic!("valid campaign: {e}"))
-        .run();
+    let campaign = Campaign::new(&cut, &bp, cfg).unwrap_or_else(|e| panic!("valid campaign: {e}"));
+    let horizon_s = campaign.config().horizon_s;
+    let mut svc = GatewayService::new(
+        &cut,
+        GatewayConfig {
+            vehicles: VEHICLES,
+            horizon_s,
+            shards: 5,
+            threads: 3,
+            ..GatewayConfig::default()
+        },
+    )
+    .unwrap_or_else(|e| panic!("provisions: {e}"));
+    campaign
+        .feed(&mut svc)
+        .unwrap_or_else(|e| panic!("feeds: {e}"));
+    let report = svc.snapshot_at(horizon_s).report;
     assert_eq!(digest(&report), FROZEN_DIGEST);
     assert_eq!(&report, frozen_report());
 }

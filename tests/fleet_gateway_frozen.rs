@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 
 use eea_fleet::{
     Campaign, CampaignConfig, ChannelConfig, CutConfig, CutFamily, CutModel, EcuSessionPlan,
-    FleetReport, GatewaySnapshot, TransportKind, VehicleBlueprint,
+    FleetReport, GatewayConfig, GatewayService, GatewaySnapshot, TransportKind, VehicleBlueprint,
 };
 use eea_model::ResourceId;
 
@@ -118,9 +118,7 @@ fn snapshots() -> &'static (GatewaySnapshot, GatewaySnapshot) {
         let bp = blueprints();
         let campaign = Campaign::new(&cut, &bp, campaign_config())
             .unwrap_or_else(|e| panic!("valid campaign: {e}"));
-        let mut svc = campaign
-            .gateway()
-            .unwrap_or_else(|e| panic!("provisions: {e}"));
+        let mut svc = campaign.gateway();
         for arrival in campaign.arrivals() {
             svc.accept(arrival)
                 .unwrap_or_else(|e| panic!("accept: {e}"));
@@ -171,22 +169,30 @@ fn horizon_snapshot_reproduces_the_one_shot_digest() {
     );
 }
 
-/// The same frozen bits out of the parallel bounded-channel feed at
-/// explicit thread/shard counts — the 100 000-vehicle instantiation of
-/// the snapshot-under-load proptests.
+/// The same frozen bits out of the parallel bounded-channel feed at an
+/// explicit thread count into a gateway with an explicit shard count —
+/// the 100 000-vehicle instantiation of the snapshot-under-load
+/// proptests.
 #[test]
 fn mid_digest_survives_parallel_feed() {
     let cut = cut();
     let bp = blueprints();
     let cfg = CampaignConfig {
         threads: 3,
-        shards: 5,
         ..campaign_config()
     };
     let campaign = Campaign::new(&cut, &bp, cfg).unwrap_or_else(|e| panic!("valid campaign: {e}"));
-    let mut svc = campaign
-        .gateway()
-        .unwrap_or_else(|e| panic!("provisions: {e}"));
+    let mut svc = GatewayService::new(
+        &cut,
+        GatewayConfig {
+            vehicles: VEHICLES,
+            horizon_s: HORIZON_S,
+            shards: 5,
+            threads: 3,
+            ..GatewayConfig::default()
+        },
+    )
+    .unwrap_or_else(|e| panic!("provisions: {e}"));
     campaign
         .feed(&mut svc)
         .unwrap_or_else(|e| panic!("feeds: {e}"));
