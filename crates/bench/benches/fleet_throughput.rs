@@ -2,60 +2,18 @@
 //! second, the quantity `BENCH_fleet.json` reports at full scale.
 //!
 //! One iteration = a complete 2,000-vehicle campaign (seeding, per-vehicle
-//! timelines, gateway aggregation) over a reduced CUT. The blueprint set
-//! mirrors `tests/fleet_determinism.rs`: one all-local implementation, one
+//! timelines, gateway aggregation) over a reduced CUT. The blueprints are
+//! the shared [`eea_bench::trio`]: one all-local implementation, one
 //! gateway-streaming, one with a dead session, so the timeline exercises
 //! every work-queue path. The thread sweep reuses the identical workload —
 //! the engine's determinism contract makes the reports bit-identical, so
 //! the sweep measures scheduling overhead only.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eea_fleet::{
-    Campaign, CampaignConfig, ChannelConfig, CutConfig, CutFamily, CutModel, EcuSessionPlan,
-    TransportKind, VehicleBlueprint,
-};
-use eea_model::ResourceId;
+use eea_bench::trio;
+use eea_fleet::{Campaign, CampaignConfig, ChannelConfig, CutConfig, CutModel};
 
 const VEHICLES: u32 = 2_000;
-
-fn blueprints(transport: TransportKind) -> Vec<VehicleBlueprint> {
-    let plan = |ecu: usize, transfer_s: f64, upload_bw: f64| EcuSessionPlan {
-        ecu: ResourceId::from_index(ecu),
-        profile_id: 1,
-        coverage: 0.99,
-        session_s: 0.005,
-        transfer_s,
-        local_storage: transfer_s == 0.0,
-        upload_bandwidth_bytes_per_s: upload_bw,
-        family: CutFamily::Logic,
-    };
-    vec![
-        VehicleBlueprint {
-            implementation_index: 0,
-            sessions: vec![plan(0, 0.0, 400.0), plan(1, 0.0, 150.0)],
-            shutoff_budget_s: 900.0,
-            transport,
-            channel: ChannelConfig::Clean,
-            task_set: None,
-        },
-        VehicleBlueprint {
-            implementation_index: 1,
-            sessions: vec![plan(2, 1_500.0, 80.0)],
-            shutoff_budget_s: 4_000.0,
-            transport,
-            channel: ChannelConfig::Clean,
-            task_set: None,
-        },
-        VehicleBlueprint {
-            implementation_index: 2,
-            sessions: vec![plan(3, f64::INFINITY, 0.0), plan(4, 300.0, 60.0)],
-            shutoff_budget_s: 2_000.0,
-            transport,
-            channel: ChannelConfig::Clean,
-            task_set: None,
-        },
-    ]
-}
 
 fn cut() -> CutModel {
     CutModel::build(CutConfig {
@@ -80,7 +38,7 @@ fn campaign_config(threads: usize) -> CampaignConfig {
 /// Serial campaign throughput: the baseline vehicles/s number.
 fn bench_campaign_serial(c: &mut Criterion) {
     let cut = cut();
-    let bp = blueprints(TransportKind::MirroredCan);
+    let bp = trio(false, None, ChannelConfig::Clean);
     c.bench_function(format!("fleet_campaign_{VEHICLES}_vehicles_serial"), |b| {
         b.iter(|| {
             Campaign::new(&cut, &bp, campaign_config(1))
@@ -94,7 +52,7 @@ fn bench_campaign_serial(c: &mut Criterion) {
 /// bit-identical; only wall-clock moves).
 fn bench_campaign_thread_sweep(c: &mut Criterion) {
     let cut = cut();
-    let bp = blueprints(TransportKind::MirroredCan);
+    let bp = trio(false, None, ChannelConfig::Clean);
     let mut group = c.benchmark_group("fleet_thread_sweep");
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
@@ -117,7 +75,7 @@ fn bench_campaign_thread_sweep(c: &mut Criterion) {
 /// Reports stay bit-identical across the sweep.
 fn bench_aggregation_thread_sweep(c: &mut Criterion) {
     let cut = cut();
-    let bp = blueprints(TransportKind::MirroredCan);
+    let bp = trio(false, None, ChannelConfig::Clean);
     let mut group = c.benchmark_group("fleet_aggregation");
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {

@@ -14,9 +14,10 @@
 //! EEA_BENCH_BLOCKS=64 EEA_BENCH_BATCHES=8 cargo run -p eea-bench --bin bench_parallel --release
 //! ```
 
+use std::error::Error;
 use std::time::Instant;
 
-use eea_bench::{env_usize, out_path, paper_diag_spec};
+use eea_bench::{env_usize, paper_diag_spec, write_artifact, Json};
 use eea_dse::{DseProblem, EeaError, EVAL_LANES};
 use eea_faultsim::{FaultUniverse, ParFaultSim, PatternBlock, DEFAULT_LANES};
 use eea_moea::{Problem, Rng};
@@ -134,27 +135,29 @@ fn dse_sweep(batches: usize) -> Result<(Vec<SweepPoint>, bool), EeaError> {
     Ok((points, identical))
 }
 
-fn json_sweep(name: &str, unit: &str, points: &[SweepPoint], identical: bool) -> String {
+/// One engine's section: the determinism flag and the timed points, with
+/// throughput in `unit`s per second and speedup over the 1-thread point.
+fn sweep_json(unit: &str, points: &[SweepPoint], identical: bool) -> Json {
     let base = points[0].seconds;
-    let entries: Vec<String> = points
+    let throughput_key = format!("{unit}_per_s");
+    let sweep = points
         .iter()
         .map(|p| {
-            format!(
-                "    {{\"threads\": {}, \"seconds\": {:.6}, \"{unit}_per_s\": {:.2}, \"speedup_vs_1_thread\": {:.3}}}",
-                p.threads,
-                p.seconds,
-                p.throughput,
-                base / p.seconds
-            )
+            Json::obj([
+                ("threads", p.threads.into()),
+                ("seconds", p.seconds.into()),
+                (throughput_key.as_str(), p.throughput.into()),
+                ("speedup_vs_1_thread", (base / p.seconds).into()),
+            ])
         })
         .collect();
-    format!(
-        "  \"{name}\": {{\n   \"bit_identical_across_sweep\": {identical},\n   \"sweep\": [\n{}\n   ]\n  }}",
-        entries.join(",\n")
-    )
+    Json::obj([
+        ("bit_identical_across_sweep", identical.into()),
+        ("sweep", Json::Arr(sweep)),
+    ])
 }
 
-fn main() -> Result<(), EeaError> {
+fn main() -> Result<(), Box<dyn Error>> {
     let blocks = env_usize("EEA_BENCH_BLOCKS", 32);
     let batches = env_usize("EEA_BENCH_BATCHES", 4);
     let cores = std::thread::available_parallelism()
@@ -167,19 +170,24 @@ fn main() -> Result<(), EeaError> {
     assert!(fs_identical, "faultsim results diverged across thread counts");
     assert!(dse_identical, "dse results diverged across thread counts");
 
-    let word_bits = PatternBlock::CAPACITY;
-    let lanes = DEFAULT_LANES;
-    let json = format!
-(
-        "{{\n  \"machine_cores\": {cores},\n  \"word_bits\": {word_bits},\n  \"lanes\": {lanes},\n  \"workload\": {{\"faultsim_blocks\": {blocks}, \"dse_batches\": {batches}, \"dse_batch_size\": {EVAL_LANES}}},\n{},\n{}\n}}\n",
-        json_sweep("faultsim", "blocks", &fs_points, fs_identical),
-        json_sweep("dse", "evals", &dse_points, dse_identical),
-    );
+    let json = Json::obj([
+        ("machine_cores", cores.into()),
+        ("word_bits", PatternBlock::CAPACITY.into()),
+        ("lanes", DEFAULT_LANES.into()),
+        (
+            "workload",
+            Json::obj([
+                ("faultsim_blocks", blocks.into()),
+                ("dse_batches", batches.into()),
+                ("dse_batch_size", EVAL_LANES.into()),
+            ]),
+        ),
+        ("faultsim", sweep_json("blocks", &fs_points, fs_identical)),
+        ("dse", sweep_json("evals", &dse_points, dse_identical)),
+    ])
+    .pretty();
     println!("{json}");
-    let path = out_path("BENCH_parallel.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let path = write_artifact("BENCH_parallel.json", &json)?;
+    println!("wrote {}", path.display());
     Ok(())
 }

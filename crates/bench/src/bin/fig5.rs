@@ -14,12 +14,14 @@
 //! EEA_TRANSPORTS=classic-can,can-fd cargo run -p eea-bench --bin fig5 --release
 //! ```
 
-use eea_bench::{
-    env_transports, env_u64, env_usize, out_path, run_case_study_exploration_with_transport,
-};
-use eea_dse::{fig5_ascii, fig5_csv, fig5_points, EeaError, TransportConfig, TransportKind};
+use std::error::Error;
 
-fn main() -> Result<(), EeaError> {
+use eea_bench::{
+    env_transports, env_u64, env_usize, run_case_study_exploration_with_transport, write_artifact,
+};
+use eea_dse::{fig5_ascii, fig5_csv, fig5_points, TransportConfig, TransportKind};
+
+fn main() -> Result<(), Box<dyn Error>> {
     let evaluations = env_usize("EEA_EVALS", 10_000);
     let seed = env_u64("EEA_SEED", 2014);
 
@@ -54,11 +56,8 @@ fn main() -> Result<(), EeaError> {
             TransportKind::MirroredCan => "fig5.csv".to_string(),
             other => format!("fig5-{}.csv", other.label()),
         };
-        let path = out_path(&name);
-        match std::fs::write(&path, &csv) {
-            Ok(()) => println!("wrote {} ({} rows)\n", path.display(), points.len()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+        let path = write_artifact(&name, &csv)?;
+        println!("wrote {} ({} rows)\n", path.display(), points.len());
     }
     Ok(())
 }

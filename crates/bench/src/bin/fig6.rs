@@ -12,12 +12,14 @@
 //! EEA_TRANSPORTS=flexray cargo run -p eea-bench --bin fig6 --release
 //! ```
 
-use eea_bench::{
-    env_transports, env_u64, env_usize, out_path, run_case_study_exploration_with_transport,
-};
-use eea_dse::{fig6_csv, fig6_rows, EeaError, TransportConfig, TransportKind};
+use std::error::Error;
 
-fn main() -> Result<(), EeaError> {
+use eea_bench::{
+    env_transports, env_u64, env_usize, run_case_study_exploration_with_transport, write_artifact,
+};
+use eea_dse::{fig6_csv, fig6_rows, TransportConfig, TransportKind};
+
+fn main() -> Result<(), Box<dyn Error>> {
     let evaluations = env_usize("EEA_EVALS", 10_000);
     let seed = env_u64("EEA_SEED", 2014);
 
@@ -64,11 +66,8 @@ fn main() -> Result<(), EeaError> {
             TransportKind::MirroredCan => "fig6.csv".to_string(),
             other => format!("fig6-{}.csv", other.label()),
         };
-        let path = out_path(&name);
-        match std::fs::write(&path, fig6_csv(&rows)) {
-            Ok(()) => println!("\nwrote {} ({} rows)\n", path.display(), rows.len()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+        let path = write_artifact(&name, &fig6_csv(&rows))?;
+        println!("\nwrote {} ({} rows)\n", path.display(), rows.len());
     }
     Ok(())
 }

@@ -7,18 +7,15 @@
 //! | variable | default | used by |
 //! |---|---|---|
 //! | `EEA_EVALS` | 10,000 | `fig5`, `fig6`, `headline` (paper: 100,000) |
-//! | `EEA_SEED` | 2014 | exploration seed |
+//! | `EEA_SEED` | 2014 | exploration and fleet-campaign seed |
 //! | `EEA_CUT_GATES` | 1,500 | `table1` CUT size |
 //! | `EEA_PRP_MAX` | 16,384 | `table1` largest PRP count (paper: 500,000) |
 //! | `EEA_THREADS` | auto | worker threads for evaluation (results are bit-identical at any count) |
 //! | `EEA_OUT_DIR` | `.` (repo root) | where `fig5`, `fig6`, `bench_parallel`, `fleet_campaign` write their CSV/JSON artifacts |
-//! | `EEA_FLEET_VEHICLES` | 100,000 | `fleet_campaign` fleet size |
+//! | `EEA_FLEET_VEHICLES` | 100,000 | `fleet_campaign` fleet size of the transport, schedule and noisy-channel sections (at most `u32::MAX`) |
 //! | `EEA_FLEET_EVALS` | 2,000 | `fleet_campaign` exploration budget for the blueprint front |
-//! | `EEA_FLEET_SCALE` | `100000,1000000,10000000` | `fleet_campaign` scale-sweep fleet sizes (comma-separated; empty disables the sweep) |
+//! | `EEA_FLEET_SCALE` | `100000,1000000,10000000` | `fleet_campaign` fleet sizes of the gateway soak and the scale sweep (comma-separated; empty disables both) |
 //! | `EEA_TRANSPORTS` | per binary | comma-separated transport backends (`classic-can`, `can-fd`, `flexray`); `fig5`/`fig6` default to `classic-can`, `fleet_campaign` to all three |
-//! | `EEA_SOAK_SCALE` | `100000,1000000,10000000` | `gateway_soak` fleet sizes (comma-separated; empty disables the sweep) |
-//! | `EEA_SOAK_QUEUE` | 8,192 | `gateway_soak` ingest queue capacity (also sizes its shed probe) |
-//! | `EEA_SCHED_VEHICLES` | 100,000 | `sched_campaign` fleet size for the flat-vs-schedule window comparison |
 
 // Library targets are panic-free by policy (see DESIGN.md, "Error
 // taxonomy"): unwrap/expect/panic! are denied outside test code.
@@ -28,7 +25,12 @@ use eea_bist::paper_table1;
 use eea_dse::{
     augment, explore, DiagSpec, DseConfig, DseResult, EeaError, TransportConfig, TransportKind,
 };
-use eea_model::{paper_case_study, CaseStudy};
+use eea_fleet::{
+    ChannelConfig, CutFamily, EcuSessionPlan, FleetReport, TaskSetConfig, VehicleBlueprint,
+};
+use eea_model::{paper_case_study, CaseStudy, ResourceId};
+use std::fmt::Write as _;
+use std::path::PathBuf;
 
 /// Reads a `usize` environment knob with a default.
 pub fn env_usize(name: &str, default: usize) -> usize {
@@ -70,10 +72,10 @@ pub fn env_transports(default: &[TransportKind]) -> Vec<TransportKind> {
     kinds
 }
 
-/// Reads a comma-separated `u64` list knob (`EEA_FLEET_SCALE`,
-/// `EEA_SOAK_SCALE`, ...). Unparsable entries are skipped; an unset
-/// variable falls back to `default`; a set-but-empty (or all-garbage)
-/// variable yields an empty list, which disables the sweep it drives.
+/// Reads a comma-separated `u64` list knob (`EEA_FLEET_SCALE`).
+/// Unparsable entries are skipped; an unset variable falls back to
+/// `default`; a set-but-empty (or all-garbage) variable yields an empty
+/// list, which disables the sweeps it drives.
 pub fn env_u64_list(name: &str, default: &[u64]) -> Vec<u64> {
     let Ok(raw) = std::env::var(name) else {
         return default.to_vec();
@@ -85,10 +87,20 @@ pub fn env_u64_list(name: &str, default: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-/// Reads the `EEA_FLEET_SCALE` knob: the fleet sizes for the
-/// `fleet_campaign` scale sweep.
-pub fn env_scale_sweep(default: &[u64]) -> Vec<u64> {
-    env_u64_list("EEA_FLEET_SCALE", default)
+/// Converts a fleet size read from the knob `knob` into a campaign's
+/// `u32` vehicle count.
+///
+/// # Errors
+///
+/// A message naming `knob` when `vehicles` exceeds `u32::MAX` — an
+/// unchecked cast would silently run a truncated fleet instead.
+pub fn fleet_size(knob: &str, vehicles: u64) -> Result<u32, String> {
+    u32::try_from(vehicles).map_err(|_| {
+        format!(
+            "{knob}: fleet size {vehicles} exceeds the largest campaign ({} vehicles)",
+            u32::MAX
+        )
+    })
 }
 
 /// The process's peak resident-set size ("VmHWM" high-water mark) in KiB,
@@ -108,18 +120,32 @@ pub fn peak_rss_kb() -> Option<u64> {
 /// created if missing), the current directory otherwise. Falls back to the
 /// bare name when the directory cannot be created, so binaries keep
 /// working in read-only-ish environments.
-pub fn out_path(name: &str) -> std::path::PathBuf {
+fn out_path(name: &str) -> PathBuf {
     match std::env::var("EEA_OUT_DIR") {
         Ok(dir) if !dir.is_empty() => {
-            let dir = std::path::PathBuf::from(dir);
+            let dir = PathBuf::from(dir);
             if let Err(e) = std::fs::create_dir_all(&dir) {
                 eprintln!("EEA_OUT_DIR {}: {e}; writing to current dir", dir.display());
-                return std::path::PathBuf::from(name);
+                return PathBuf::from(name);
             }
             dir.join(name)
         }
-        _ => std::path::PathBuf::from(name),
+        _ => PathBuf::from(name),
     }
+}
+
+/// Writes the experiment artifact `name` into `$EEA_OUT_DIR` (created if
+/// missing) or the current directory, and returns its path.
+///
+/// # Errors
+///
+/// The I/O error of the write, annotated with the path, so a binary that
+/// propagates it exits non-zero instead of leaving a stale artifact.
+pub fn write_artifact(name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    let path = out_path(name);
+    std::fs::write(&path, contents)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    Ok(path)
 }
 
 /// The paper's augmented case study: all 36 Table I profiles on all 15
@@ -172,7 +198,6 @@ pub fn run_case_study_exploration_with_transport(
         },
         threads,
         transport,
-        ..DseConfig::default()
     };
     let result = explore(&diag, &cfg, |evals, archive| {
         if evals % 2_000 < 100 {
@@ -180,6 +205,214 @@ pub fn run_case_study_exploration_with_transport(
         }
     });
     Ok((case, diag, result))
+}
+
+/// The hand-built blueprint trio of the fleet benches (the fleet the
+/// determinism and frozen-report tests pin): one all-local fast
+/// implementation, one gateway-streaming one, and one whose first session
+/// never completes. `mixed` moves the sessions on ECUs 2 and 4 to the
+/// SRAM family; `task_set` and `channel` are stamped on every blueprint.
+pub fn trio(
+    mixed: bool,
+    task_set: Option<&TaskSetConfig>,
+    channel: ChannelConfig,
+) -> Vec<VehicleBlueprint> {
+    let plan = |ecu: usize, transfer_s: f64, upload_bw: f64| EcuSessionPlan {
+        ecu: ResourceId::from_index(ecu),
+        profile_id: 1,
+        coverage: 0.99,
+        session_s: 0.005,
+        transfer_s,
+        local_storage: transfer_s == 0.0,
+        upload_bandwidth_bytes_per_s: upload_bw,
+        family: if mixed && (ecu == 2 || ecu == 4) {
+            CutFamily::Sram
+        } else {
+            CutFamily::Logic
+        },
+    };
+    let blueprint = |index: usize, sessions: Vec<EcuSessionPlan>, budget_s: f64| VehicleBlueprint {
+        implementation_index: index,
+        sessions,
+        shutoff_budget_s: budget_s,
+        transport: TransportKind::MirroredCan,
+        channel,
+        task_set: task_set.cloned(),
+    };
+    vec![
+        blueprint(0, vec![plan(0, 0.0, 400.0), plan(1, 0.0, 150.0)], 900.0),
+        blueprint(1, vec![plan(2, 1_500.0, 80.0)], 4_000.0),
+        blueprint(
+            2,
+            vec![plan(3, f64::INFINITY, 0.0), plan(4, 300.0, 60.0)],
+            2_000.0,
+        ),
+    ]
+}
+
+/// FNV-1a 64 over a report's complete `Debug` text — the digest that
+/// `tests/fleet_frozen_report.rs` freezes.
+pub fn digest(report: &FleetReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+/// A JSON value for the committed bench records. The build is offline,
+/// so there is no serde. Objects keep insertion order, so a regenerated
+/// record diffs cleanly against the committed one.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Null,
+    Bool(bool),
+    /// An integer, printed exactly.
+    Int(u64),
+    /// A float in Rust's shortest round-trip form. NaN and the
+    /// infinities have no JSON spelling and print as `null`.
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    /// The document indented by two spaces per level, ending in a
+    /// newline. An array or object whose members are all scalars stays on
+    /// one line, which keeps sweep points and counter blocks readable.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(x) if x.is_finite() => {
+                let _ = write!(out, "{x}");
+            }
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_json_str(out, s),
+            Json::Arr(items) => {
+                write_members(out, depth, ['[', ']'], items.iter().map(|v| (None, v)));
+            }
+            Json::Obj(pairs) => write_members(
+                out,
+                depth,
+                ['{', '}'],
+                pairs.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
+        }
+    }
+}
+
+fn write_members<'a>(
+    out: &mut String,
+    depth: usize,
+    [open, close]: [char; 2],
+    members: impl Iterator<Item = (Option<&'a str>, &'a Json)> + Clone,
+) {
+    let inline = members
+        .clone()
+        .all(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_)));
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', 2 * depth));
+    };
+    out.push(open);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+            if inline {
+                out.push(' ');
+            }
+        }
+        if !inline {
+            newline(out, depth + 1);
+        }
+        if let Some(key) = key {
+            write_json_str(out, key);
+            out.push_str(": ");
+        }
+        value.write(out, depth + 1);
+    }
+    if !inline {
+        newline(out, depth);
+    }
+    out.push(close);
+}
+
+fn write_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Int(n)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(n: u32) -> Json {
+        Json::Int(n.into())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        // Lossless: no supported target has a usize wider than 64 bits.
+        Json::Int(n as u64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        Json::Num(x)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
 }
 
 #[cfg(test)]
@@ -201,11 +434,17 @@ mod tests {
     #[test]
     fn out_path_honors_env() {
         std::env::remove_var("EEA_OUT_DIR");
-        assert_eq!(out_path("x.json"), std::path::PathBuf::from("x.json"));
+        assert_eq!(out_path("x.json"), PathBuf::from("x.json"));
         let dir = std::env::temp_dir().join("eea-out-test");
         std::env::set_var("EEA_OUT_DIR", &dir);
         assert_eq!(out_path("x.json"), dir.join("x.json"));
         assert!(dir.is_dir(), "out_path creates the directory");
+        let written = write_artifact("x.json", "{}\n").expect("writable temp dir");
+        assert_eq!(written, dir.join("x.json"));
+        assert_eq!(
+            std::fs::read_to_string(written).expect("just written"),
+            "{}\n"
+        );
         std::env::remove_var("EEA_OUT_DIR");
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -232,18 +471,70 @@ mod tests {
 
     #[test]
     fn scale_sweep_knob_parses() {
-        std::env::remove_var("EEA_FLEET_SCALE");
-        assert_eq!(env_scale_sweep(&[100_000]), vec![100_000]);
-        std::env::set_var("EEA_FLEET_SCALE", "1000, 2000,garbage,3000");
-        assert_eq!(env_scale_sweep(&[100_000]), vec![1000, 2000, 3000]);
-        std::env::set_var("EEA_FLEET_SCALE", "");
-        assert_eq!(env_scale_sweep(&[100_000]), Vec::<u64>::new());
-        std::env::remove_var("EEA_FLEET_SCALE");
         std::env::remove_var("EEA_TEST_LIST");
         assert_eq!(env_u64_list("EEA_TEST_LIST", &[5, 6]), vec![5, 6]);
         std::env::set_var("EEA_TEST_LIST", "7, 8,bad");
         assert_eq!(env_u64_list("EEA_TEST_LIST", &[5, 6]), vec![7, 8]);
+        std::env::set_var("EEA_TEST_LIST", "");
+        assert_eq!(env_u64_list("EEA_TEST_LIST", &[5, 6]), Vec::<u64>::new());
         std::env::remove_var("EEA_TEST_LIST");
+    }
+
+    #[test]
+    fn fleet_size_rejects_counts_beyond_u32() {
+        assert_eq!(fleet_size("EEA_FLEET_VEHICLES", 100_000), Ok(100_000));
+        assert_eq!(
+            fleet_size("EEA_FLEET_VEHICLES", u64::from(u32::MAX)),
+            Ok(u32::MAX)
+        );
+        // 5e9 wraps to 705,032,704 under an `as u32` cast.
+        let err = fleet_size("EEA_FLEET_SCALE", 5_000_000_000).expect_err("exceeds u32");
+        assert!(err.contains("EEA_FLEET_SCALE") && err.contains("5000000000"));
+    }
+
+    #[test]
+    fn artifact_write_failure_is_an_error() {
+        let err = write_artifact("eea-no-such-dir/x.json", "{}").expect_err("no such directory");
+        assert!(err.to_string().contains("eea-no-such-dir"));
+    }
+
+    #[test]
+    fn json_prints_exact_integers_escaped_strings_and_null_non_finites() {
+        let doc = Json::obj([
+            ("int", u64::MAX.into()),
+            ("num", 0.1.into()),
+            ("nan", f64::NAN.into()),
+            ("inf", f64::NEG_INFINITY.into()),
+            ("text", "a\"b\\c\n\u{1}".into()),
+            ("none", Option::<u64>::None.into()),
+            ("empty", Json::Arr(Vec::new())),
+            (
+                "points",
+                Json::Arr(vec![Json::obj([
+                    ("threads", 1usize.into()),
+                    ("ok", true.into()),
+                ])]),
+            ),
+        ]);
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"int\": 18446744073709551615,\n  \"num\": 0.1,\n  \"nan\": null,\n  \
+\"inf\": null,\n  \"text\": \"a\\\"b\\\\c\\n\\u0001\",\n  \"none\": null,\n  \
+\"empty\": [],\n  \"points\": [\n    {\"threads\": 1, \"ok\": true}\n  ]\n}\n"
+        );
+    }
+
+    #[test]
+    fn mixed_trio_moves_ecus_2_and_4_to_sram() {
+        let sram_ecus = |bps: &[VehicleBlueprint]| -> Vec<usize> {
+            bps.iter()
+                .flat_map(|b| &b.sessions)
+                .filter(|p| p.family == CutFamily::Sram)
+                .map(|p| p.ecu.index())
+                .collect()
+        };
+        assert_eq!(sram_ecus(&trio(true, None, ChannelConfig::Clean)), [2, 4]);
+        assert!(sram_ecus(&trio(false, None, ChannelConfig::Clean)).is_empty());
     }
 
     #[test]

@@ -15,9 +15,7 @@ use eea_model::Implementation;
 use eea_moea::{run, Nsga2Config, ParetoArchive, Problem};
 use eea_sat::SolveResult;
 
-use eea_bist::CutFamily;
-use eea_can::{ChannelConfig, TransportConfig};
-use eea_sched::TaskSetConfig;
+use eea_can::TransportConfig;
 
 use crate::augment::DiagSpec;
 use crate::encode::{encode, Encoding};
@@ -39,29 +37,6 @@ pub struct DseConfig {
     /// static slots. The MOEA then explores fronts *per transport*; run
     /// `explore` once per configuration to compare them.
     pub transport: TransportConfig,
-    /// CUT family the downstream fleet campaign instantiates for the
-    /// diagnosable sessions of this front: gate-level logic BIST (the
-    /// paper's substrate, the default) or a word-addressed SRAM March
-    /// test. The exploration itself is family-agnostic — the field rides
-    /// on the config so blueprint construction
-    /// (`blueprints_from_front_configured` in `eea-fleet`) sees one
-    /// coherent campaign description.
-    pub cut_family: CutFamily,
-    /// Optional in-ECU cyclic-task set: when set, fleet blueprints built
-    /// from this front derive their shut-off windows from the schedule's
-    /// idle intervals (`eea_sched::TaskSchedule`) instead of the flat
-    /// driving/parked budget. `None` (the default) keeps the historical
-    /// flat-budget path bit-for-bit.
-    pub task_set: Option<TaskSetConfig>,
-    /// Channel-impairment model the downstream fleet campaign stamps on
-    /// every blueprint built from this front: `Clean` (the default — the
-    /// historical ideal-channel path, bit-for-bit) or a `NoisyChannel`
-    /// injecting deterministic bus error frames, payload truncation and
-    /// fail-data corruption. Like `cut_family`/`task_set`, the
-    /// exploration itself ignores it; the field rides along so
-    /// `blueprints_from_front_configured` sees one coherent campaign
-    /// description.
-    pub channel: ChannelConfig,
 }
 
 impl Default for DseConfig {
@@ -74,9 +49,6 @@ impl Default for DseConfig {
             },
             threads: 0,
             transport: TransportConfig::MirroredCan,
-            cut_family: CutFamily::Logic,
-            task_set: None,
-            channel: ChannelConfig::Clean,
         }
     }
 }
@@ -635,7 +607,6 @@ pub fn baseline_cost(
         },
         threads,
         transport: TransportConfig::MirroredCan,
-        ..DseConfig::default()
     };
     let res = explore(&diag, &cfg, |_, _| {});
     Ok(res

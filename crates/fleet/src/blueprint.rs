@@ -161,7 +161,9 @@ pub fn blueprints_from_front(
 /// reuse the constructed mirror identifiers and upgrade the mirrored
 /// payloads; FlexRay blueprints skip mirroring (TDMA slots are exclusive —
 /// non-intrusive by construction) and ride an even static-slot assignment
-/// over the sending ECUs.
+/// over the sending ECUs. Every session tests the logic CUT family, and
+/// every blueprint keeps the flat shut-off budget and a clean channel;
+/// campaigns over other settings overwrite those fields.
 ///
 /// # Errors
 ///
@@ -177,41 +179,10 @@ pub fn blueprints_from_front_with(
     front: &[ExploredImplementation],
     transport: &TransportConfig,
 ) -> Result<Vec<VehicleBlueprint>, FleetError> {
-    blueprints_from_front_configured(
-        diag,
-        front,
-        transport,
-        CutFamily::Logic,
-        None,
-        ChannelConfig::Clean,
-    )
-}
-
-/// Like [`blueprints_from_front_with`], additionally stamping every
-/// session with `family`, every blueprint with `task_set` and the
-/// channel-impairment model `channel` — the campaign-wide CUT-family,
-/// in-ECU-schedule and channel selectors a
-/// [`DseConfig`](eea_dse::explore::DseConfig) carries. With
-/// `CutFamily::Logic`, `None` and [`ChannelConfig::Clean`] this is
-/// bit-for-bit [`blueprints_from_front_with`].
-///
-/// # Errors
-///
-/// The same errors as [`blueprints_from_front_with`], plus
-/// [`FleetError::Channel`] when the channel configuration is degenerate.
-pub fn blueprints_from_front_configured(
-    diag: &DiagSpec,
-    front: &[ExploredImplementation],
-    transport: &TransportConfig,
-    family: CutFamily,
-    task_set: Option<&TaskSetConfig>,
-    channel: ChannelConfig,
-) -> Result<Vec<VehicleBlueprint>, FleetError> {
     if front.is_empty() {
         return Err(FleetError::NoDiagnosableBlueprint);
     }
     transport.validate()?;
-    channel.validate()?;
     let spec = &diag.spec;
     let arch = &spec.architecture;
     let app = &spec.application;
@@ -303,7 +274,7 @@ pub fn blueprints_from_front_configured(
                 transfer_s: transfer,
                 local_storage: local,
                 upload_bandwidth_bytes_per_s: bandwidth,
-                family,
+                family: CutFamily::Logic,
             });
         }
 
@@ -312,8 +283,8 @@ pub fn blueprints_from_front_configured(
             sessions,
             shutoff_budget_s: ei.objectives.shutoff_s,
             transport: transport.kind(),
-            task_set: task_set.cloned(),
-            channel,
+            task_set: None,
+            channel: ChannelConfig::Clean,
         });
     }
     Ok(blueprints)
@@ -346,37 +317,6 @@ mod tests {
         let blueprints = blueprints_from_front(&diag, &result.front).expect("front flattens");
         assert_eq!(blueprints.len(), result.front.len());
         assert!(blueprints.iter().all(|b| b.channel.is_clean()));
-        // The configured variant threads a channel through and rejects a
-        // degenerate one at construction.
-        let noisy = ChannelConfig::Noisy(eea_can::NoisyChannel {
-            frame_error_rate: 0.01,
-            ..eea_can::NoisyChannel::default()
-        });
-        let noisy_bps = blueprints_from_front_configured(
-            &diag,
-            &result.front,
-            &TransportConfig::MirroredCan,
-            CutFamily::Logic,
-            None,
-            noisy,
-        )
-        .expect("noisy front flattens");
-        assert!(noisy_bps.iter().all(|b| b.channel == noisy));
-        let bad = ChannelConfig::Noisy(eea_can::NoisyChannel {
-            frame_error_rate: 2.0,
-            ..eea_can::NoisyChannel::default()
-        });
-        assert!(matches!(
-            blueprints_from_front_configured(
-                &diag,
-                &result.front,
-                &TransportConfig::MirroredCan,
-                CutFamily::Logic,
-                None,
-                bad,
-            ),
-            Err(FleetError::Channel(_))
-        ));
         // At least one implementation of any non-trivial front selects a
         // session whose fail data can reach the gateway.
         assert!(blueprints.iter().any(VehicleBlueprint::is_campaign_capable));

@@ -911,6 +911,15 @@ mod tests {
             Some(FleetError::InvalidDefectFraction(1.5))
         );
         assert_eq!(bad(|c| c.batch_size = 0), Some(FleetError::ZeroBatchSize));
+        let mut noisy = capable_blueprint();
+        noisy.channel = eea_can::ChannelConfig::Noisy(eea_can::NoisyChannel {
+            frame_error_rate: 2.0,
+            ..eea_can::NoisyChannel::default()
+        });
+        assert!(matches!(
+            Campaign::new(&cut, &[noisy], CampaignConfig::default()),
+            Err(FleetError::Channel(_))
+        ));
         let mut incapable = capable_blueprint();
         incapable.sessions[0].upload_bandwidth_bytes_per_s = 0.0;
         assert_eq!(

@@ -76,8 +76,7 @@ mod shutoff;
 mod vehicle;
 
 pub use blueprint::{
-    blueprints_from_front, blueprints_from_front_configured, blueprints_from_front_with,
-    EcuSessionPlan, VehicleBlueprint,
+    blueprints_from_front, blueprints_from_front_with, EcuSessionPlan, VehicleBlueprint,
 };
 // The CUT-family axis (logic vs SRAM March test) and the in-ECU schedule
 // axis are part of the campaign surface; re-exported so drivers need not

@@ -1,11 +1,12 @@
 //! In-ECU cyclic-task schedule → shut-off windows, end to end.
 //!
-//! Builds the task set the `sched_campaign` benchmark stamps on its
-//! blueprints, simulates the fixed-priority executive over one
-//! hyperperiod, prints the busy/idle timeline as an ASCII strip, and then
-//! shows the `(gap, window)` stream a single vehicle would draw from it —
-//! next to the flat-budget stream the same RNG seed produces, so the
-//! schedule's carving is visible side by side.
+//! Builds the task set the `sched_campaign` section of the
+//! `fleet_campaign` bench stamps on its blueprints, simulates the
+//! fixed-priority executive over one hyperperiod, prints the busy/idle
+//! timeline as an ASCII strip, and then shows the `(gap, window)` stream
+//! a single vehicle would draw from it — next to the flat-budget stream
+//! the same RNG seed produces, so the schedule's carving is visible side
+//! by side.
 //!
 //! ```text
 //! cargo run -p eea-fleet --example sched_windows
@@ -20,7 +21,8 @@ use eea_sched::TaskSet;
 
 fn main() -> Result<(), eea_sched::SchedError> {
     // Two periodic tasks (hyperperiod 60 s, utilization 0.39) plus one
-    // sporadic task — the blueprint task set of the sched_campaign bench.
+    // sporadic task — the blueprint task set of the fleet_campaign
+    // bench's sched_campaign section.
     let config = TaskSetConfig {
         periodic: vec![
             PeriodicTask {
