@@ -2,42 +2,35 @@
 //!
 //! Compares NSGA-II (the default), SPEA2 and pure random search at equal
 //! evaluation budgets on the full case study, scored by the hypervolume of
-//! the resulting Pareto-front approximation (objectives normalised to a
-//! common reference point).
+//! the resulting Pareto-front approximation ([`normalized_hypervolume`]:
+//! the bounds of `BENCH_dse.json` and the `pipeline_bench` quality metric).
 //!
 //! ```text
 //! cargo run -p eea-bench --bin ablation_moea --release
 //! EEA_EVALS=10000 cargo run -p eea-bench --bin ablation_moea --release
 //! ```
 
-use eea_bench::{env_u64, env_usize, paper_diag_spec};
-use eea_dse::{DseProblem, EeaError};
-use eea_moea::{
-    hypervolume, run, run_spea2, Nsga2Config, ParetoArchive, Problem, Rng,
-};
+use std::error::Error;
 
-/// Normalises archive objective vectors into [0, 1]^3 against fixed bounds
-/// and computes the hypervolume w.r.t. the (1, 1, 1) reference.
-fn normalized_hypervolume(entries: &[Vec<f64>], bounds: &[(f64, f64); 3]) -> f64 {
-    let front: Vec<Vec<f64>> = entries
+use eea_bench::{env_u64, env_usize, normalized_hypervolume, paper_diag_spec};
+use eea_dse::DseProblem;
+use eea_moea::{run, run_spea2, Nsga2Config, ParetoArchive, Problem, Rng};
+
+/// The hypervolume of an archive's minimised objective vectors.
+fn archive_hypervolume<T>(archive: &ParetoArchive<T>) -> Result<f64, String> {
+    let front: Vec<Vec<f64>> = archive
+        .entries()
         .iter()
-        .map(|o| {
-            o.iter()
-                .zip(bounds)
-                .map(|(&v, &(lo, hi))| ((v - lo) / (hi - lo)).clamp(0.0, 1.0))
-                .collect()
-        })
+        .map(|e| e.objectives.clone())
         .collect();
-    hypervolume(&front, &[1.0001, 1.0001, 1.0001])
+    normalized_hypervolume(&front)
 }
 
-fn main() -> Result<(), EeaError> {
+fn main() -> Result<(), Box<dyn Error>> {
     let evaluations = env_usize("EEA_EVALS", 3_000);
     let seed = env_u64("EEA_SEED", 2014);
     let (_case, diag) = paper_diag_spec()?;
 
-    // Shared objective bounds for normalisation (cost, -quality, shutoff).
-    let bounds = [(600.0, 800.0), (-1.0, 0.0), (0.0, 90_000.0)];
     let cfg = Nsga2Config {
         population: 60.min(evaluations.max(2)),
         evaluations,
@@ -52,15 +45,7 @@ fn main() -> Result<(), EeaError> {
     let t = std::time::Instant::now();
     let nsga = run(&mut problem, &cfg_n, |_, _| {});
     let nsga_time = t.elapsed();
-    let nsga_hv = normalized_hypervolume(
-        &nsga
-            .archive
-            .entries()
-            .iter()
-            .map(|e| e.objectives.clone())
-            .collect::<Vec<_>>(),
-        &bounds,
-    );
+    let nsga_hv = archive_hypervolume(&nsga.archive)?;
 
     // SPEA2.
     let mut problem = DseProblem::new(&diag);
@@ -69,15 +54,7 @@ fn main() -> Result<(), EeaError> {
     let t = std::time::Instant::now();
     let spea = run_spea2(&mut problem, &cfg_s, |_, _| {});
     let spea_time = t.elapsed();
-    let spea_hv = normalized_hypervolume(
-        &spea
-            .archive
-            .entries()
-            .iter()
-            .map(|e| e.objectives.clone())
-            .collect::<Vec<_>>(),
-        &bounds,
-    );
+    let spea_hv = archive_hypervolume(&spea.archive)?;
 
     // Random search (same decoder, uniform genotypes, no evolution).
     let mut problem = DseProblem::new(&diag);
@@ -92,41 +69,20 @@ fn main() -> Result<(), EeaError> {
         }
     }
     let random_time = t.elapsed();
-    let random_hv = normalized_hypervolume(
-        &random_archive
-            .entries()
-            .iter()
-            .map(|e| e.objectives.clone())
-            .collect::<Vec<_>>(),
-        &bounds,
-    );
+    let random_hv = archive_hypervolume(&random_archive)?;
 
     println!("optimizer ablation at {evaluations} evaluations (seed {seed}):\n");
     println!(
         "{:>14} {:>10} {:>14} {:>10}",
         "optimizer", "|front|", "hypervolume", "time"
     );
-    println!(
-        "{:>14} {:>10} {:>14.4} {:>10.1?}",
-        "NSGA-II",
-        nsga.archive.len(),
-        nsga_hv,
-        nsga_time
-    );
-    println!(
-        "{:>14} {:>10} {:>14.4} {:>10.1?}",
-        "SPEA2",
-        spea.archive.len(),
-        spea_hv,
-        spea_time
-    );
-    println!(
-        "{:>14} {:>10} {:>14.4} {:>10.1?}",
-        "random",
-        random_archive.len(),
-        random_hv,
-        random_time
-    );
+    for (name, size, hv, time) in [
+        ("NSGA-II", nsga.archive.len(), nsga_hv, nsga_time),
+        ("SPEA2", spea.archive.len(), spea_hv, spea_time),
+        ("random", random_archive.len(), random_hv, random_time),
+    ] {
+        println!("{name:>14} {size:>10} {hv:>14.4} {time:>10.1?}");
+    }
     println!(
         "\nevolutionary search vs random: {:+.1} % (NSGA-II), {:+.1} % (SPEA2) hypervolume",
         (nsga_hv / random_hv - 1.0) * 100.0,

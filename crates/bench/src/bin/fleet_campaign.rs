@@ -12,7 +12,7 @@
 //!   per `EEA_TRANSPORTS` backend (default: classic mirrored CAN, CAN FD
 //!   and FlexRay), for the per-backend detection-latency comparison.
 //! - `scale_sweep`: the `EEA_FLEET_SCALE` fleet sizes on the first
-//!   backend, with per-stage timings and the process peak RSS.
+//!   backend, with per-stage timings and each point's peak RSS.
 //! - `sched_campaign`: flat vs schedule-derived shut-off windows on a
 //!   mixed logic/SRAM fleet.
 //! - `noisy_campaign`: clean vs impaired channels over an error-rate ×
@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use eea_bench::{
     digest, env_transports, env_u64, env_u64_list, env_usize, fleet_size, peak_rss_kb,
-    run_case_study_exploration, trio, write_artifact, Json,
+    reset_peak_rss, run_case_study_exploration, trio, write_artifact, Json,
 };
 use eea_fleet::{
     blueprints_from_front_with, Campaign, CampaignConfig, ChannelConfig, CutConfig, CutModel,
@@ -98,8 +98,8 @@ fn main() -> BenchResult<()> {
         .into_iter()
         .map(|n| fleet_size("EEA_FLEET_SCALE", n))
         .collect::<Result<Vec<_>, _>>()?;
-    // Ascending order: the RSS high-water mark is monotone, so each sample
-    // then belongs to the largest campaign of its section seen so far.
+    // Ascending order: the soak's cross-settings replay runs at the first,
+    // smallest scale.
     scales.sort_unstable();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let word_bits = eea_faultsim::PatternBlock::CAPACITY;
@@ -121,12 +121,10 @@ fn main() -> BenchResult<()> {
         ..CutConfig::default()
     })?;
 
-    // The soak runs first. `peak_rss_kb` reads VmHWM, which only grows
-    // over the life of the process, and the soak's RSS points are its
-    // evidence that service memory grows with uploads, not with the fleet:
-    // after the explore and the 10M-vehicle scale sweep every soak point
-    // would read at least their peak. The scale sweep's samples are
-    // dominated by the explore that runs right before them either way.
+    // Every soak and scale-sweep point resets VmHWM before it runs and
+    // records the resident size it started from (`rss_start_kb`) beside
+    // its own peak (`peak_rss_kb`), so a point's figures do not depend on
+    // what ran before it in this process.
     let gateway_soak = soak_section(&small_cut, &scales, &config)?;
 
     eprintln!("building CUT model (golden session + per-fault fail data)...");
@@ -147,7 +145,8 @@ fn main() -> BenchResult<()> {
     // One exploration front; each backend re-prices the same
     // implementations, which is exactly the comparison the JSON reports.
     eprintln!("exploring a {evaluations}-evaluation front for the blueprint decode...");
-    let (_case, diag, result) = run_case_study_exploration(evaluations, seed, 0)?;
+    let (_case, diag, result) =
+        run_case_study_exploration(evaluations, seed, 0, TransportConfig::MirroredCan)?;
     let mut transport_entries = Vec::new();
     let mut scale_entries = Vec::new();
     for (i, &kind) in transports.iter().enumerate() {
@@ -270,7 +269,7 @@ fn campaign_json(report: &FleetReport) -> Json {
 /// size in which every vehicle arrives one by one through the bounded
 /// ingest queue while mid-campaign snapshots are taken (their `detected`
 /// counts must be monotone). Each point records the ingest throughput,
-/// the snapshot latencies, the service counters and `peak_rss_kb` — the
+/// the snapshot latencies, the service counters and its own peak RSS — the
 /// evidence that service state grows with uploads, not with the fleet.
 /// At the smallest scale a replay under other shard/thread/queue
 /// settings must give an equal final snapshot.
@@ -281,6 +280,7 @@ fn soak_section(cut: &CutModel, scales: &[u32], config: &CampaignConfig) -> Benc
 
     let mut sweep = Vec::new();
     for &fleet in scales {
+        let rss_start = reset_peak_rss();
         let campaign = Campaign::new(
             cut,
             &bp,
@@ -367,7 +367,7 @@ fn soak_section(cut: &CutModel, scales: &[u32], config: &CampaignConfig) -> Benc
             None
         };
 
-        let rss = peak_rss_kb();
+        let rss = rss_start.and(peak_rss_kb());
         let arrivals_per_s = f64::from(fleet) / ingest_s;
         eprintln!(
             "[soak {fleet}] ingest {ingest_s:.3} s ({arrivals_per_s:.0} arrivals/s), \
@@ -392,6 +392,7 @@ fn soak_section(cut: &CutModel, scales: &[u32], config: &CampaignConfig) -> Benc
             ("duplicates", fin.duplicates.into()),
             ("truncated_uploads", fin.truncated_uploads.into()),
             ("peak_rss_kb", rss.into()),
+            ("rss_start_kb", rss_start.into()),
             ("snapshot_bit_identical", bit_identical.into()),
         ]));
     }
@@ -580,7 +581,7 @@ than one core and at least {SPEEDUP_MIN_VEHICLES} vehicles; skipped (best observ
 
 /// The `scale_sweep` entries: the streaming-aggregation evidence. One run
 /// per fleet size at auto thread count, with per-stage timings and the
-/// process peak RSS.
+/// point's own peak RSS.
 fn scale_sweep(
     kind: TransportKind,
     cut: &CutModel,
@@ -595,11 +596,12 @@ fn scale_sweep(
             ..config.clone()
         };
         let threads_used = eea_faultsim::resolve_threads(cfg.threads);
+        let rss_start = reset_peak_rss();
         let campaign = Campaign::new(cut, blueprints, cfg)?;
         let start = Instant::now();
         let (report, stages) = campaign.run_timed();
         let seconds = start.elapsed().as_secs_f64();
-        let rss = peak_rss_kb();
+        let rss = rss_start.and(peak_rss_kb());
         eprintln!(
             "[scale {fleet}] {seconds:.3} s total ({:.0} vehicles/s) — \
 simulate {:.3} s, merge {:.3} s, diagnose {:.3} s (lookup {:.3} s), \
@@ -619,6 +621,7 @@ fold {:.3} s, peak RSS {} KiB",
             ("seconds", seconds.into()),
             ("vehicles_per_s", (f64::from(fleet) / seconds).into()),
             ("peak_rss_kb", rss.into()),
+            ("rss_start_kb", rss_start.into()),
             ("detected", report.detected.into()),
             (
                 "stages",

@@ -6,16 +6,16 @@
 //!
 //! | variable | default | used by |
 //! |---|---|---|
-//! | `EEA_EVALS` | 10,000 | `fig5`, `fig6`, `headline` (paper: 100,000) |
+//! | `EEA_EVALS` | 10,000 | `dse_campaign` (paper: 100,000); `ablation_moea` and `sensitivity` default lower |
 //! | `EEA_SEED` | 2014 | exploration and fleet-campaign seed |
 //! | `EEA_CUT_GATES` | 1,500 | `table1` CUT size |
 //! | `EEA_PRP_MAX` | 16,384 | `table1` largest PRP count (paper: 500,000) |
 //! | `EEA_THREADS` | auto | worker threads for evaluation (results are bit-identical at any count) |
-//! | `EEA_OUT_DIR` | `.` (repo root) | where `fig5`, `fig6`, `bench_parallel`, `fleet_campaign` write their CSV/JSON artifacts |
+//! | `EEA_OUT_DIR` | `.` (repo root) | where `dse_campaign` and `fleet_campaign` write their CSV/JSON artifacts |
 //! | `EEA_FLEET_VEHICLES` | 100,000 | `fleet_campaign` fleet size of the transport, schedule and noisy-channel sections (at most `u32::MAX`) |
 //! | `EEA_FLEET_EVALS` | 2,000 | `fleet_campaign` exploration budget for the blueprint front |
 //! | `EEA_FLEET_SCALE` | `100000,1000000,10000000` | `fleet_campaign` fleet sizes of the gateway soak and the scale sweep (comma-separated; empty disables both) |
-//! | `EEA_TRANSPORTS` | per binary | comma-separated transport backends (`classic-can`, `can-fd`, `flexray`); `fig5`/`fig6` default to `classic-can`, `fleet_campaign` to all three |
+//! | `EEA_TRANSPORTS` | per binary | comma-separated transport backends (`classic-can`, `can-fd`, `flexray`); `dse_campaign` defaults to `classic-can`, `fleet_campaign` to all three |
 
 // Library targets are panic-free by policy (see DESIGN.md, "Error
 // taxonomy"): unwrap/expect/panic! are denied outside test code.
@@ -25,10 +25,9 @@ use eea_bist::paper_table1;
 use eea_dse::{
     augment, explore, DiagSpec, DseConfig, DseResult, EeaError, TransportConfig, TransportKind,
 };
-use eea_fleet::{
-    ChannelConfig, CutFamily, EcuSessionPlan, FleetReport, TaskSetConfig, VehicleBlueprint,
-};
+use eea_fleet::{ChannelConfig, CutFamily, EcuSessionPlan, TaskSetConfig, VehicleBlueprint};
 use eea_model::{paper_case_study, CaseStudy, ResourceId};
+use eea_moea::hypervolume;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -106,12 +105,25 @@ pub fn fleet_size(knob: &str, vehicles: u64) -> Result<u32, String> {
 /// The process's peak resident-set size ("VmHWM" high-water mark) in KiB,
 /// read from `/proc/self/status`. Returns `None` off Linux or when the
 /// field is missing — callers report the value as unavailable rather than
-/// failing the run. Note the high-water mark is monotone over the process
-/// lifetime: when sampling a sweep, run the scale points in ascending
-/// order so each sample reflects the largest campaign seen so far.
+/// failing the run. The mark only grows until [`reset_peak_rss`] lowers
+/// it, so call that first for the peak of one section of a run.
 pub fn peak_rss_kb() -> Option<u64> {
+    status_kb("VmHWM:")
+}
+
+/// Resets the peak resident-set size to the current one by writing `5` to
+/// `/proc/self/clear_refs`, and returns that current size ("VmRSS") in
+/// KiB: a [`peak_rss_kb`] read afterwards is the peak since this call.
+/// Best-effort like [`peak_rss_kb`]: `None` when the reset or the read
+/// fails, in which case a later peak is the process's, not the section's.
+pub fn reset_peak_rss() -> Option<u64> {
+    std::fs::write("/proc/self/clear_refs", "5").ok()?;
+    status_kb("VmRSS:")
+}
+
+fn status_kb(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
@@ -161,28 +173,13 @@ pub fn paper_diag_spec() -> Result<(CaseStudy, DiagSpec), EeaError> {
     Ok((case, diag))
 }
 
-/// Runs the case-study exploration with the standard experiment knobs,
-/// over the classic mirrored-CAN transport.
+/// Runs the case-study exploration with the standard experiment knobs.
+/// The Eq. (5) shut-off objective prices its remote transfers through
+/// `transport`, so fronts explored on different backends genuinely differ.
 ///
 /// `threads = 0` means one worker per available CPU (overridable via
 /// `EEA_THREADS`); the result is bit-identical at any thread count.
 pub fn run_case_study_exploration(
-    evaluations: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<(CaseStudy, DiagSpec, DseResult), EeaError> {
-    run_case_study_exploration_with_transport(
-        evaluations,
-        seed,
-        threads,
-        TransportConfig::MirroredCan,
-    )
-}
-
-/// [`run_case_study_exploration`] over an explicit transport backend: the
-/// Eq. (5) shut-off objective prices its remote transfers through
-/// `transport`, so fronts explored on different backends genuinely differ.
-pub fn run_case_study_exploration_with_transport(
     evaluations: usize,
     seed: u64,
     threads: usize,
@@ -250,14 +247,51 @@ pub fn trio(
     ]
 }
 
-/// FNV-1a 64 over a report's complete `Debug` text — the digest that
-/// `tests/fleet_frozen_report.rs` freezes.
-pub fn digest(report: &FleetReport) -> u64 {
-    format!("{report:?}")
+/// FNV-1a 64 over a value's complete `Debug` text: every f64 prints with
+/// enough digits to round-trip, so digest equality is bit equality. Over
+/// an [`eea_fleet::FleetReport`] it is the digest that
+/// `tests/fleet_frozen_report.rs` freezes; over an explored front, the
+/// front digest of `BENCH_dse.json`.
+pub fn digest<T: std::fmt::Debug + ?Sized>(value: &T) -> u64 {
+    format!("{value:?}")
         .bytes()
         .fold(0xCBF2_9CE4_8422_2325, |h, byte| {
             (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
         })
+}
+
+/// Bounds `(lo, hi)` of `[cost, −quality, shut-off s]`, as in the
+/// `pipeline_bench` quality metric. Cost spans the functional optimum
+/// (~404) and the dearest all-BIST design, shut-off the 86,400 s clamp.
+const HV_BOUNDS: [(f64, f64); 3] = [(300.0, 900.0), (-1.0, 0.0), (0.0, 90_000.0)];
+
+/// Reference point on every axis. It lies beyond 1 so a front with a
+/// single quality value still spans a volume.
+const HV_REFERENCE: f64 = 1.1;
+
+/// Hypervolume of a front of minimised `[cost, −quality, shut-off s]`
+/// vectors scaled to `[0, 1]` between cost 300–900, −quality −1–0 and
+/// shut-off 0–90,000 s, against `(1.1, 1.1, 1.1)`: at most 1.331.
+///
+/// # Errors
+///
+/// A message naming the first point outside the bounds: clamping it
+/// would silently flatten that axis.
+pub fn normalized_hypervolume(front: &[Vec<f64>]) -> Result<f64, String> {
+    let mut points = Vec::with_capacity(front.len());
+    for p in front {
+        let mut q = Vec::with_capacity(HV_BOUNDS.len());
+        for (&x, &(lo, hi)) in p.iter().zip(&HV_BOUNDS) {
+            if !(lo..=hi).contains(&x) {
+                return Err(format!(
+                    "point {p:?} lies outside the hypervolume bounds {HV_BOUNDS:?}"
+                ));
+            }
+            q.push((x - lo) / (hi - lo));
+        }
+        points.push(q);
+    }
+    Ok(hypervolume(&points, &[HV_REFERENCE; 3]))
 }
 
 /// A JSON value for the committed bench records. The build is offline,
@@ -548,6 +582,30 @@ mod tests {
     }
 
     #[test]
+    fn hypervolume_rejects_out_of_bounds_points() {
+        let err = normalized_hypervolume(&[vec![400.0, -0.5, 10.0], vec![950.0, -0.5, 10.0]])
+            .expect_err("cost 950 exceeds the bounds");
+        assert!(err.contains("950.0"), "{err}");
+        let corner = normalized_hypervolume(&[vec![300.0, -1.0, 0.0]]).expect("in bounds");
+        assert!((corner - 1.331).abs() < 1e-9, "{corner}");
+    }
+
+    #[test]
+    fn hypervolume_sees_cost() {
+        // Explored fronts cost 404–484; these two differ only in cost.
+        let cheap = normalized_hypervolume(&[vec![404.0, -0.98, 5.0]]).expect("in bounds");
+        let dear = normalized_hypervolume(&[vec![484.0, -0.98, 5.0]]).expect("in bounds");
+        assert!(cheap > dear, "{cheap} vs {dear}");
+    }
+
+    #[test]
+    fn digest_is_fnv1a_of_the_debug_text() {
+        // FNV-1a 64 of the one byte "7".
+        assert_eq!(digest(&7u8), 0xAF63_AA4C_8601_9796);
+        assert_eq!(digest(&[1.0f64, 2.0]), digest(&vec![1.0f64, 2.0]));
+    }
+
+    #[test]
     fn paper_spec_shape() {
         let (case, diag) = paper_diag_spec().expect("paper case study augments");
         assert_eq!(case.ecus().len(), 15);
@@ -556,8 +614,8 @@ mod tests {
 
     #[test]
     fn tiny_exploration_runs() {
-        let (_, _, res) =
-            run_case_study_exploration(50, 1, 1).expect("paper case study augments");
+        let (_, _, res) = run_case_study_exploration(50, 1, 1, TransportConfig::MirroredCan)
+            .expect("paper case study augments");
         assert_eq!(res.evaluations, 50);
         assert!(!res.front.is_empty());
     }

@@ -21,7 +21,7 @@ fn main() {
     println!("            {}", case.spec.architecture);
 
     // 2. Augment with BIST profiles (4 of the 36 published ones keep this
-    //    quickstart snappy; see examples/case_study.rs for the full set).
+    //    quickstart snappy; the `dse_campaign` bench explores the full set).
     let profiles = paper_table1();
     let diag = augment(&case, &profiles[..4]).expect("gateway present");
     println!(
