@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use eea_bench::paper_diag_spec;
-use eea_dse::DseProblem;
+use eea_dse::{DseConfig, DseProblem};
 use eea_moea::{Problem, Rng};
 
 fn bench_decode_evaluate(c: &mut Criterion) {
@@ -31,11 +31,14 @@ fn bench_encode(c: &mut Criterion) {
     });
 }
 
-/// Batched decode+evaluate at 1/2/4/8 worker threads, one EVAL_LANES-sized
-/// batch per iteration (the NSGA-II offspring granularity). The lane scheme
-/// keeps the objective vectors bit-identical across the sweep.
+/// Batched decode+evaluate at 1/2/4/8 worker threads, one NSGA-II
+/// generation (`explore`'s population of 100 offspring) per iteration, so
+/// every lane decodes several genotypes in a row and the timing sees the
+/// decode order. The lane scheme keeps the objective vectors bit-identical
+/// across the sweep.
 fn bench_thread_sweep(c: &mut Criterion) {
     let (_case, diag) = paper_diag_spec().expect("paper case study augments");
+    let population = DseConfig::default().nsga2.population;
     let mut group = c.benchmark_group("dse_thread_sweep");
     group.sample_size(10);
 
@@ -46,7 +49,7 @@ fn bench_thread_sweep(c: &mut Criterion) {
         group.bench_function(format!("threads_{threads}"), |b| {
             b.iter_batched(
                 || {
-                    (0..eea_dse::EVAL_LANES)
+                    (0..population)
                         .map(|_| (0..n).map(|_| rng.unit()).collect::<Vec<f64>>())
                         .collect::<Vec<_>>()
                 },

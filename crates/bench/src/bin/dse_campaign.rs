@@ -17,7 +17,9 @@
 //! ```
 //!
 //! Note: setting `EEA_THREADS` pins *every* sweep point to that worker
-//! count (the workspace-wide override wins over the sweep).
+//! count (the workspace-wide override wins over the sweep). Each point
+//! records the worker count that ran, so such a record fails
+//! `scripts/check_bench.py`.
 
 use std::error::Error;
 
@@ -208,9 +210,10 @@ fn thread_sweep(kind: TransportKind, evaluations: usize, seed: u64) -> BenchResu
             threads,
             TransportConfig::for_kind(kind),
         )?;
-        let seconds = result.duration_s;
-        eprintln!("[sweep {kind}] threads={threads}: {seconds:.3} s");
-        points.push((threads, seconds));
+        // Record the workers that ran: `EEA_THREADS` overrides the request.
+        let (ran, seconds) = (result.threads, result.duration_s);
+        eprintln!("[sweep {kind}] threads={ran}: {seconds:.3} s");
+        points.push((ran, seconds));
         let (evals, infeasible) = (result.evaluations, result.infeasible);
         let outcome = (digest(&result.front), result.convergence, evals, infeasible);
         match &reference {

@@ -31,8 +31,9 @@ use crate::augment::DiagSpec;
 /// The encoded formula plus the variable maps needed for decoding.
 #[derive(Debug)]
 pub struct Encoding {
-    /// The solver holding the formula. Reused (incl. learned clauses)
-    /// across decodes.
+    /// The solver holding the formula. Reused across decodes, each of which
+    /// inherits the learned clauses, saved phases and heap layout of the
+    /// ones before it.
     pub solver: Solver,
     /// Mapping variables per task: `(resource, var)` pairs.
     pub m_vars: Vec<Vec<(ResourceId, Var)>>,

@@ -110,12 +110,13 @@ impl DseResult {
 }
 
 /// Number of evaluation lanes — persistent solver replicas that batched
-/// evaluation cycles through. Fixed (independent of the thread count) so
-/// that which solver instance (with which accumulated learned clauses)
-/// decodes genotype `i` of a batch depends only on `i`, never on
-/// scheduling: genotype `i` always runs on lane `i % EVAL_LANES`. Threads
-/// merely split the lanes among workers, so any thread count reproduces
-/// the serial results bit for bit.
+/// evaluation spreads over. A decode depends on the state earlier decodes
+/// left in its solver (learned clauses, saved phases, the branching heap's
+/// layout), so the lane count is fixed, independent of the thread count:
+/// genotype `i` of a batch always runs on lane `i % EVAL_LANES`, after the
+/// lane's lower-indexed genotypes. Threads merely split the lanes among
+/// workers, and every worker decodes its lanes one after another, so any
+/// thread count reproduces the serial results bit for bit.
 pub const EVAL_LANES: usize = 8;
 
 /// The SAT-decoding problem adapter: genotype → feasible implementation →
@@ -123,9 +124,9 @@ pub const EVAL_LANES: usize = 8;
 ///
 /// Batched evaluation ([`Problem::evaluate_batch`]) decodes on
 /// [`EVAL_LANES`] solver replicas cloned from the freshly encoded formula,
-/// optionally fanned out across `threads` workers; learned clauses stay
-/// lane-local. [`decode`](Self::decode) keeps using the primary solver of
-/// the encoding.
+/// optionally fanned out across `threads` workers; the state a decode
+/// leaves behind stays lane-local. [`decode`](Self::decode) keeps using
+/// the primary solver of the encoding.
 pub struct DseProblem<'d> {
     diag: &'d DiagSpec,
     encoding: Encoding,
@@ -400,7 +401,9 @@ impl Problem for DseProblem<'_> {
     /// Lane-deterministic batch evaluation: genotype `i` always decodes on
     /// lane `i % EVAL_LANES`, and a lane's genotypes run in index order —
     /// regardless of `threads` — so results are bit-identical at any
-    /// worker count.
+    /// worker count. Each worker decodes its lanes one after another, so a
+    /// lane's solver stays in cache across its genotypes; one worker runs
+    /// inline.
     fn evaluate_batch(&mut self, genotypes: &[Vec<f64>]) -> Vec<Option<Vec<f64>>> {
         let diag = self.diag;
         let encoding = &self.encoding;
@@ -408,63 +411,44 @@ impl Problem for DseProblem<'_> {
         let transport = &self.transport;
         let workers = self.threads.min(self.lanes.len()).max(1);
         let lanes_per_worker = self.lanes.len().div_ceil(workers);
-
-        let mut results: Vec<Option<Vec<f64>>> = vec![None; genotypes.len()];
-        if workers <= 1 {
-            for (i, genotype) in genotypes.iter().enumerate() {
-                let lane = i % EVAL_LANES;
-                results[i] = Self::lane_evaluate(
-                    diag,
-                    encoding,
-                    mvars,
-                    &mut self.lanes[lane],
-                    transport,
-                    genotype,
-                );
-            }
-            return results;
-        }
-
-        let mut merged: Vec<(usize, Option<Vec<f64>>)> = Vec::with_capacity(genotypes.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .lanes
-                .chunks_mut(lanes_per_worker)
-                .enumerate()
-                .map(|(w, lane_chunk)| {
-                    let first_lane = w * lanes_per_worker;
-                    s.spawn(move || {
-                        let mut out: Vec<(usize, Option<Vec<f64>>)> = Vec::new();
-                        for (li, solver) in lane_chunk.iter_mut().enumerate() {
-                            let mut i = first_lane + li;
-                            while i < genotypes.len() {
-                                out.push((
-                                    i,
-                                    Self::lane_evaluate(
-                                        diag,
-                                        encoding,
-                                        mvars,
-                                        solver,
-                                        transport,
-                                        &genotypes[i],
-                                    ),
-                                ));
-                                i += EVAL_LANES;
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                // A worker can only fail by panicking; forward the payload
-                // instead of discarding it (or double-panicking via expect).
-                match h.join() {
-                    Ok(part) => merged.extend(part),
-                    Err(payload) => std::panic::resume_unwind(payload),
+        let decode_lanes = move |first_lane: usize, lane_chunk: &mut [eea_sat::Solver]| {
+            let mut out: Vec<(usize, Option<Vec<f64>>)> = Vec::new();
+            for (li, solver) in lane_chunk.iter_mut().enumerate() {
+                for i in (first_lane + li..genotypes.len()).step_by(EVAL_LANES) {
+                    let genotype = &genotypes[i];
+                    let objectives =
+                        Self::lane_evaluate(diag, encoding, mvars, solver, transport, genotype);
+                    out.push((i, objectives));
                 }
             }
-        });
+            out
+        };
+
+        let chunks = self.lanes.chunks_mut(lanes_per_worker).enumerate();
+        let merged: Vec<_> = if workers == 1 {
+            chunks
+                .flat_map(|(w, lane_chunk)| decode_lanes(w * lanes_per_worker, lane_chunk))
+                .collect()
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = chunks
+                    .map(|(w, lane_chunk)| {
+                        s.spawn(move || decode_lanes(w * lanes_per_worker, lane_chunk))
+                    })
+                    .collect();
+                // A worker can only fail by panicking; forward the payload
+                // instead of discarding it (or double-panicking via expect).
+                let mut merged = Vec::with_capacity(genotypes.len());
+                for h in handles {
+                    match h.join() {
+                        Ok(part) => merged.extend(part),
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    }
+                }
+                merged
+            })
+        };
+        let mut results: Vec<Option<Vec<f64>>> = vec![None; genotypes.len()];
         for (i, r) in merged {
             results[i] = r;
         }
@@ -544,11 +528,11 @@ pub fn explore(
     });
     let duration_s = start.elapsed().as_secs_f64();
 
-    // Re-decode archive entries into full implementations. Note: decoding
-    // is repeatable but the solver has accumulated learned clauses; a
-    // re-decode may produce a different (equally feasible) model, so the
-    // archived objective vector is re-evaluated from the fresh decode and
-    // re-filtered through a final archive.
+    // Re-decode archive entries into full implementations. Note: the
+    // primary solver carries saved phases, heap layout and learned clauses
+    // from earlier decodes; a re-decode may produce a different (equally
+    // feasible) model, so the archived objective vector is re-evaluated
+    // from the fresh decode and re-filtered through a final archive.
     let mut front_archive: ParetoArchive<ExploredImplementation> = ParetoArchive::new();
     for entry in result.archive.entries() {
         if let Some(x) = problem.decode(&entry.payload) {

@@ -4,18 +4,34 @@
 //! The static priority implements SAT-decoding: the MOEA genotype assigns
 //! one priority per decision variable and the solver branches in that
 //! order. The dynamic VSIDS activity breaks ties (and drives the search
-//! when no priorities are set).
+//! when no priorities are set). Entries carry their keys inline.
+
+/// Position of a variable that is not in the heap.
+const NOT_QUEUED: u32 = u32::MAX;
+
+/// A variable with its keys.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    priority: f64,
+    activity: f64,
+    var: u32,
+}
+
+impl Entry {
+    fn better(&self, other: &Entry) -> bool {
+        (self.priority, self.activity) > (other.priority, other.activity)
+    }
+}
 
 /// Branching order heap. Keys are compared lexicographically:
 /// static priority first, then activity.
 #[derive(Debug, Default, Clone)]
 pub struct VarHeap {
-    /// Heap of variable indices.
-    heap: Vec<usize>,
-    /// Position of each variable in `heap`, or `usize::MAX`.
-    pos: Vec<usize>,
-    static_priority: Vec<f64>,
-    activity: Vec<f64>,
+    heap: Vec<Entry>,
+    /// Position of each variable in `heap`, or `NOT_QUEUED`.
+    pos: Vec<u32>,
+    /// Keys of every variable, queued or not.
+    keys: Vec<Entry>,
 }
 
 impl VarHeap {
@@ -27,128 +43,121 @@ impl VarHeap {
     /// Grows the key arrays to `n` variables and inserts the new ones.
     pub fn grow(&mut self, n: usize) {
         while self.pos.len() < n {
-            let i = self.pos.len();
-            self.pos.push(usize::MAX);
-            self.static_priority.push(0.0);
-            self.activity.push(0.0);
-            self.insert(i);
+            let var = self.pos.len() as u32;
+            self.pos.push(NOT_QUEUED);
+            self.keys.push(Entry {
+                priority: 0.0,
+                activity: 0.0,
+                var,
+            });
+            self.reinsert(var as usize);
         }
     }
 
-    #[inline]
-    fn better(&self, a: usize, b: usize) -> bool {
-        let ka = (self.static_priority[a], self.activity[a]);
-        let kb = (self.static_priority[b], self.activity[b]);
-        ka > kb
-    }
-
+    /// Moves `heap[i]` up past every worse ancestor.
     fn sift_up(&mut self, mut i: usize) {
+        let entry = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.better(self.heap[i], self.heap[parent]) {
-                self.heap.swap(i, parent);
-                self.pos[self.heap[i]] = i;
-                self.pos[self.heap[parent]] = parent;
-                i = parent;
-            } else {
+            if !entry.better(&self.heap[parent]) {
                 break;
             }
+            self.place(i, self.heap[parent]);
+            i = parent;
         }
+        self.place(i, entry);
     }
 
+    /// Moves `heap[i]` down past every better child.
     fn sift_down(&mut self, mut i: usize) {
+        let entry = self.heap[i];
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut best = i;
-            if l < self.heap.len() && self.better(self.heap[l], self.heap[best]) {
-                best = l;
+            let (mut best, mut best_entry) = (i, entry);
+            if l < self.heap.len() && self.heap[l].better(&best_entry) {
+                (best, best_entry) = (l, self.heap[l]);
             }
-            if r < self.heap.len() && self.better(self.heap[r], self.heap[best]) {
-                best = r;
+            if r < self.heap.len() && self.heap[r].better(&best_entry) {
+                (best, best_entry) = (r, self.heap[r]);
             }
             if best == i {
                 break;
             }
-            self.heap.swap(i, best);
-            self.pos[self.heap[i]] = i;
-            self.pos[self.heap[best]] = best;
+            self.place(i, best_entry);
             i = best;
         }
+        self.place(i, entry);
     }
 
-    fn insert(&mut self, v: usize) {
-        if self.pos[v] != usize::MAX {
-            return;
-        }
-        self.pos[v] = self.heap.len();
-        self.heap.push(v);
-        self.sift_up(self.heap.len() - 1);
+    fn place(&mut self, i: usize, entry: Entry) {
+        self.heap[i] = entry;
+        self.pos[entry.var as usize] = i as u32;
     }
 
     /// Sets the static (decode) priority of a variable.
     pub fn set_static_priority(&mut self, v: usize, p: f64) {
-        self.static_priority[v] = p;
-        self.resift(v);
+        self.keys[v].priority = p;
+        self.requeue(v);
     }
 
     /// Sets the dynamic (VSIDS) activity of a variable.
     pub fn set_dynamic_activity(&mut self, v: usize, a: f64) {
-        self.activity[v] = a;
-        self.resift(v);
+        self.keys[v].activity = a;
+        self.requeue(v);
     }
 
-    fn resift(&mut self, v: usize) {
+    /// Copies the keys of `v`, if queued, into its entry and resifts it.
+    fn requeue(&mut self, v: usize) {
         let i = self.pos[v];
-        if i != usize::MAX {
-            self.sift_up(i);
-            self.sift_down(self.pos[v]);
+        if i != NOT_QUEUED {
+            self.heap[i as usize] = self.keys[v];
+            self.sift_up(i as usize);
+            self.sift_down(self.pos[v] as usize);
         }
     }
 
-    /// Reinserts a variable (after unassignment during backtracking).
+    /// Inserts a variable unless queued (after unassignment during
+    /// backtracking).
     pub fn reinsert(&mut self, v: usize) {
-        self.insert(v);
+        if self.pos[v] == NOT_QUEUED {
+            self.heap.push(self.keys[v]);
+            self.sift_up(self.heap.len() - 1);
+        }
     }
 
     /// Reinserts every variable (start of a solve).
     pub fn rebuild(&mut self) {
         for v in 0..self.pos.len() {
-            self.insert(v);
+            self.reinsert(v);
         }
     }
 
     /// Removes and returns the best variable, or `None` when empty.
     pub fn pop_max(&mut self) -> Option<usize> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let top = self.heap[0];
-        self.pos[top] = usize::MAX;
+        let top = self.heap.first()?.var as usize;
+        self.pos[top] = NOT_QUEUED;
         let last = self.heap.pop()?;
         if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last] = 0;
+            self.place(0, last);
             self.sift_down(0);
         }
         Some(top)
-    }
-
-    /// Number of queued variables.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the heap is empty.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl VarHeap {
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+    }
 
     #[test]
     fn pops_in_priority_order() {

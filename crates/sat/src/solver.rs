@@ -4,9 +4,10 @@
 //! The feasibility engine behind the paper's design space exploration: the
 //! MOEA's genotype supplies per-variable branching priorities and preferred
 //! polarities; the solver decodes them into a *feasible* implementation by
-//! branching in priority order and repairing conflicts with clause
-//! learning. The same solver instance is reused across decodes, so learned
-//! clauses accumulate and decoding gets faster over the exploration run.
+//! branching in priority order and repairing the rare conflict with clause
+//! learning. A reused solver starts each decode from the learned clauses,
+//! saved phases, VSIDS activity and heap layout of the ones before. Clauses
+//! live in a flat [`Arena`], so a decode allocates nothing until a conflict.
 
 use crate::heap::VarHeap;
 use crate::lit::{Lit, Value, Var};
@@ -25,11 +26,37 @@ enum Reason {
     None,
 }
 
+/// Append-only literal lists, back to back: list `i` is `lits[start[i]..start[i + 1]]`.
+/// Offsets are `u32`, so a solver holds fewer than 2^32 literals.
 #[derive(Debug, Clone)]
-struct Clause {
+struct Arena {
     lits: Vec<Lit>,
-    learned: bool,
-    activity: f64,
+    start: Vec<u32>,
+}
+
+impl Arena {
+    fn new() -> Self {
+        Arena {
+            lits: Vec::new(),
+            start: vec![0],
+        }
+    }
+
+    /// Seals the literals pushed since the last list as a new list; returns its index.
+    fn close(&mut self) -> u32 {
+        self.start.push(self.lits.len() as u32);
+        (self.start.len() - 2) as u32
+    }
+
+    /// Appends `lits` as a new list and returns its index.
+    fn push(&mut self, lits: &[Lit]) -> u32 {
+        self.lits.extend_from_slice(lits);
+        self.close()
+    }
+
+    fn range(&self, i: u32) -> std::ops::Range<usize> {
+        self.start[i as usize] as usize..self.start[i as usize + 1] as usize
+    }
 }
 
 /// Result of [`Solver::solve`].
@@ -60,11 +87,13 @@ pub enum SolveResult {
 #[derive(Debug, Clone)]
 pub struct Solver {
     num_vars: usize,
-    clauses: Vec<Clause>,
+    /// Problem clauses, then learned ones.
+    clauses: Arena,
+    num_learned: usize,
     /// Watch lists indexed by literal code: clauses watching that literal.
     watches: Vec<Vec<u32>>,
     /// At-most-one groups.
-    amos: Vec<Vec<Lit>>,
+    amos: Arena,
     /// For each literal code, the AMO groups in which it occurs positively.
     amo_occurs: Vec<Vec<u32>>,
     values: Vec<Value>,
@@ -81,7 +110,6 @@ pub struct Solver {
     user_polarity: Vec<Option<bool>>,
     activity: Vec<f64>,
     var_inc: f64,
-    cla_inc: f64,
     ok: bool,
     conflicts: u64,
     /// Analysis scratch.
@@ -101,9 +129,10 @@ impl Solver {
     pub fn new() -> Self {
         Solver {
             num_vars: 0,
-            clauses: Vec::new(),
+            clauses: Arena::new(),
+            num_learned: 0,
             watches: Vec::new(),
-            amos: Vec::new(),
+            amos: Arena::new(),
             amo_occurs: Vec::new(),
             values: Vec::new(),
             reason: Vec::new(),
@@ -116,7 +145,6 @@ impl Solver {
             user_polarity: Vec::new(),
             activity: Vec::new(),
             var_inc: 1.0,
-            cla_inc: 1.0,
             ok: true,
             conflicts: 0,
             seen: Vec::new(),
@@ -160,7 +188,7 @@ impl Solver {
 
     /// Number of learned clauses currently in the database.
     pub fn num_learned(&self) -> usize {
-        self.clauses.iter().filter(|c| c.learned).count()
+        self.num_learned
     }
 
     /// Current value of a literal.
@@ -189,51 +217,51 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        // Normalise: drop duplicate and false literals, detect tautology.
-        let mut ls: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Normalise onto the arena's open end: drop duplicate and false
+        // literals, detect tautology.
+        let start = self.clauses.lits.len();
         for &l in lits {
-            if self.lit_value(l) == Value::True {
-                return true; // satisfied at level 0
+            let kept = &self.clauses.lits[start..];
+            let satisfied = match self.lit_value(l) {
+                Value::True => true, // at level 0
+                Value::False => continue,
+                Value::Unassigned => kept.contains(&!l), // tautology
+            };
+            if satisfied {
+                self.clauses.lits.truncate(start);
+                return true;
             }
-            if self.lit_value(l) == Value::False {
-                continue;
-            }
-            if ls.contains(&!l) {
-                return true; // tautology
-            }
-            if !ls.contains(&l) {
-                ls.push(l);
+            if !kept.contains(&l) {
+                self.clauses.lits.push(l);
             }
         }
-        match ls.len() {
+        match self.clauses.lits.len() - start {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(ls[0], Reason::Decision);
+                let unit = self.clauses.lits.remove(start);
+                self.enqueue(unit, Reason::Decision);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach_clause(ls, false);
+                let idx = self.clauses.close();
+                self.watch_clause(idx);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learned: bool) -> u32 {
-        let idx = self.clauses.len() as u32;
-        self.watches[lits[0].code()].push(idx);
-        self.watches[lits[1].code()].push(idx);
-        self.clauses.push(Clause {
-            lits,
-            learned,
-            activity: 0.0,
-        });
-        idx
+    /// Watches the first two literals of clause `idx`.
+    fn watch_clause(&mut self, idx: u32) {
+        let w0 = self.clauses.range(idx).start;
+        for l in [self.clauses.lits[w0], self.clauses.lits[w0 + 1]] {
+            self.watches[l.code()].push(idx);
+        }
     }
 
     /// Adds an at-most-one constraint over `lits`. May be called between
@@ -252,11 +280,10 @@ impl Solver {
                 assert_ne!(a.var(), b.var(), "AMO over a repeated variable");
             }
         }
-        let idx = self.amos.len() as u32;
+        let idx = self.amos.push(lits);
         for &l in lits {
             self.amo_occurs[l.code()].push(idx);
         }
-        self.amos.push(lits.to_vec());
         // Handle literals already true at level 0.
         if let Some(&t) = lits.iter().find(|&&l| self.lit_value(l) == Value::True) {
             for &l in lits {
@@ -332,32 +359,18 @@ impl Solver {
 
             // AMO constraints containing p positively: all other literals
             // become false.
-            let groups = std::mem::take(&mut self.amo_occurs[p.code()]);
-            for &gi in &groups {
-                let group = &self.amos[gi as usize];
-                let mut conflict = None;
-                for k in 0..group.len() {
-                    let l = self.amos[gi as usize][k];
-                    if l == p {
-                        continue;
-                    }
+            for g in 0..self.amo_occurs[p.code()].len() {
+                for k in self.amos.range(self.amo_occurs[p.code()][g]) {
+                    let l = self.amos.lits[k];
                     match self.lit_value(l) {
-                        Value::True => {
-                            // Two true literals in one AMO: conflict clause
-                            // (!p \/ !l).
-                            conflict = Some(vec![!p, !l]);
-                            break;
-                        }
+                        _ if l == p => {}
+                        // Two true literals in one AMO: conflict (!p \/ !l).
+                        Value::True => return Some(vec![!p, !l]),
                         Value::Unassigned => self.enqueue(!l, Reason::AmoPair(p)),
                         Value::False => {}
                     }
                 }
-                if conflict.is_some() {
-                    self.amo_occurs[p.code()] = groups;
-                    return conflict;
-                }
             }
-            self.amo_occurs[p.code()] = groups;
 
             // Clauses watching !p must find a new watch or propagate.
             let false_lit = !p;
@@ -365,42 +378,30 @@ impl Solver {
             let mut i = 0;
             while i < watch_list.len() {
                 let ci = watch_list[i];
-                let lit_val = |values: &[Value], l: Lit| -> Value {
-                    let v = values[l.var().index()];
-                    if l.is_positive() {
-                        v
-                    } else {
-                        v.negate()
-                    }
-                };
-                let clause = &mut self.clauses[ci as usize];
-                // Ensure lits[0] is the other watch.
-                if clause.lits[0] == false_lit {
-                    clause.lits.swap(0, 1);
+                let range = self.clauses.range(ci);
+                let (w0, w1) = (range.start, range.start + 1);
+                // Ensure the first literal is the other watch.
+                if self.clauses.lits[w0] == false_lit {
+                    self.clauses.lits.swap(w0, w1);
                 }
-                let first = clause.lits[0];
-                if lit_val(&self.values, first) == Value::True {
+                let first = self.clauses.lits[w0];
+                if self.lit_value(first) == Value::True {
                     i += 1;
                     continue;
                 }
                 // Find a replacement watch.
-                let mut found = false;
-                for k in 2..clause.lits.len() {
-                    let l = clause.lits[k];
-                    if lit_val(&self.values, l) != Value::False {
-                        clause.lits.swap(1, k);
-                        self.watches[l.code()].push(ci);
-                        watch_list.swap_remove(i);
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
+                let lits = &self.clauses.lits;
+                if let Some(k) =
+                    (w1 + 1..range.end).find(|&k| self.lit_value(lits[k]) != Value::False)
+                {
+                    self.clauses.lits.swap(w1, k);
+                    self.watches[self.clauses.lits[w1].code()].push(ci);
+                    watch_list.swap_remove(i);
                     continue;
                 }
                 // Unit or conflict.
-                if lit_val(&self.values, first) == Value::False {
-                    let conflict = self.clauses[ci as usize].lits.clone();
+                if self.lit_value(first) == Value::False {
+                    let conflict = self.clauses.lits[range].to_vec();
                     self.watches[false_lit.code()] = watch_list;
                     return Some(conflict);
                 }
@@ -414,7 +415,7 @@ impl Solver {
 
     fn reason_lits(&self, v: Var) -> Vec<Lit> {
         match self.reason[v.index()] {
-            Reason::Clause(ci) => self.clauses[ci as usize].lits.clone(),
+            Reason::Clause(ci) => self.clauses.lits[self.clauses.range(ci)].to_vec(),
             Reason::AmoPair(other) => {
                 let this = v.lit(self.values[v.index()] == Value::True);
                 vec![this, !other]
@@ -559,13 +560,13 @@ impl Solver {
                             self.enqueue(learned[0], Reason::Decision);
                         }
                         _ => {
-                            let ci = self.attach_clause(learned.clone(), true);
-                            self.clauses[ci as usize].activity = self.cla_inc;
+                            let ci = self.clauses.push(&learned);
+                            self.watch_clause(ci);
+                            self.num_learned += 1;
                             self.enqueue(learned[0], Reason::Clause(ci));
                         }
                     }
                     self.var_inc /= 0.95;
-                    self.cla_inc /= 0.999;
                     if conflicts_since_restart >= restart_limit {
                         conflicts_since_restart = 0;
                         restart_limit = (restart_limit * 3) / 2;

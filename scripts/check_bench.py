@@ -9,8 +9,9 @@ bench records is true. Fleet: the one-pass dictionary build beat the
 serial replay, and on a multi-core machine each transport's campaign
 thread sweep shows a speedup. DSE: each transport's fast and slow
 shut-off counts add up to a non-empty front, front digests are 64-bit
-hex, each hypervolume lies in (0, 1.1^3], and the thread sweep has four
-points. Exits 1 and lists every problem found; exits 0 otherwise.
+hex, each hypervolume lies in (0, 1.1^3], and the thread sweep's four
+points ran on 1, 2, 4 and 8 threads. Exits 1 and lists every problem
+found; exits 0 otherwise.
 """
 
 import json
@@ -52,6 +53,7 @@ DSE_TRANSPORT = [
 ]
 DSE_HEADLINE = ["budget_pct", "best_quality_pct", "extra_cost_pct"]
 DSE_SWEEP_POINT = ["threads", "seconds", "evals_per_s", "speedup_vs_1_thread"]
+DSE_SWEEP_THREADS = [1, 2, 4, 8]
 HV_MAX = 1.1 ** 3  # the normalised hypervolume's reference is 1.1 on each axis
 
 
@@ -192,9 +194,12 @@ def check_dse_record(doc):
     sweep = doc.get("thread_sweep")
     if fields(sweep, ["bit_identical_across_sweep", "evaluations", "sweep"], "thread_sweep"):
         points = entries(sweep, "sweep", "thread_sweep")
-        check(len(points) == 4, f"thread_sweep.sweep: {len(points)} points, expected 4")
         for j, point in enumerate(points):
             fields(point, DSE_SWEEP_POINT, f"thread_sweep.sweep[{j}]")
+        # A run under EEA_THREADS records the pinned count at every point.
+        threads = [p.get("threads") for p in points if isinstance(p, dict)]
+        check(threads == DSE_SWEEP_THREADS,
+              f"thread_sweep.sweep: threads {threads}, expected {DSE_SWEEP_THREADS}")
 
     return problems
 
