@@ -342,9 +342,10 @@ impl<'s, 'c> ResumableRun<'s, 'c> {
     }
 
     /// The fail data observed **so far** — for a paused faulty run this is
-    /// the partial fail memory after [`windows_completed`]
-    /// (Self::windows_completed) windows; once [`is_complete`]
-    /// (Self::is_complete) it equals [`StumpsSession::run_with_fault`].
+    /// the partial fail memory after
+    /// [`windows_completed`](Self::windows_completed) windows; once
+    /// [`is_complete`](Self::is_complete) it equals
+    /// [`StumpsSession::run_with_fault`].
     pub fn fail_data(&self) -> &FailData {
         &self.fail
     }

@@ -1,23 +1,20 @@
 //! Deterministic channel-impairment models layered over the transport.
 //!
-//! The [`Transport`](crate::Transport) backends price *ideal* transfers:
-//! every frame arrives intact on the first attempt. A [`ChannelModel`]
-//! describes what the physical bus does to those frames — error frames
-//! forcing retransmission (which inflates the Eq. (1) transfer time) and
-//! payload corruption that survives into the uploaded fail memory.
+//! A [`Transport`](crate::Transport) prices *ideal* transfers: every frame
+//! arrives intact on the first attempt. A [`ChannelConfig`] describes what
+//! the physical bus does to those frames — error frames forcing
+//! retransmission (which inflates the Eq. (1) transfer time) and payload
+//! corruption that survives into the uploaded fail memory:
 //!
-//! Two implementations exist:
-//!
-//! * [`Clean`] — the provable pass-through identity: zero retransmissions,
-//!   zero corruption, and — critically — **zero RNG draws**, so a clean
-//!   channel is bit-for-bit the historical upload path (the same
-//!   `FlatBudget`/`WindowSource` pattern the scheduler layer uses).
+//! * [`ChannelConfig::Clean`] — the pass-through identity and the default.
+//!   The consumer draws nothing from any channel stream for it, so a clean
+//!   campaign is bit-for-bit the historical upload path.
 //! * [`NoisyChannel`] — per-frame Bernoulli error events and per-upload
 //!   payload impairment, driven by a dedicated SplitMix64 stream
 //!   ([`ChannelRng`]) derived from per-vehicle sub-seeds. The stream is
 //!   disjoint from the simulation's own RNG, so results stay bit-identical
 //!   across thread × shard sweeps and a zero-rate noisy channel reproduces
-//!   [`Clean`] exactly.
+//!   the clean report exactly.
 //!
 //! The impairment a channel inflicts on one upload is summarised in the
 //! compact [`Impairment`] descriptor; the consumer (the fleet layer)
@@ -163,54 +160,13 @@ impl Impairment {
     }
 }
 
-/// A channel model: the stochastic layer between a priced transfer and
-/// the bytes the gateway actually receives.
-///
-/// Implementations must be deterministic functions of the supplied
-/// [`ChannelRng`] state, and [`Clean`] must consume **no** draws — that is
-/// what makes the clean path a provable identity.
-pub trait ChannelModel {
-    /// Number of frames (out of `frames` offered) that had to be re-sent.
-    /// Each retransmission costs the consumer one extra frame time.
-    fn retransmitted_frames(&self, rng: &mut ChannelRng, frames: u64) -> u64;
-
-    /// The impairment inflicted on one upload whose payload the consumer
-    /// caps at `cap_entries` entries.
-    fn impair(&self, rng: &mut ChannelRng, cap_entries: u16) -> Impairment;
-
-    /// Deterministic Eq. (1) re-pricing factor for *streamed* transfers:
-    /// with frame error rate `p`, each frame is sent `1/(1-p)` times in
-    /// expectation, so the effective transfer time inflates by that
-    /// factor. `1.0` for a clean channel.
-    fn transfer_inflation(&self) -> f64;
-}
-
-/// The pass-through identity channel: no errors, no corruption, no RNG
-/// draws. Campaigns over `Clean` are bit-for-bit the historical path.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Clean;
-
-impl ChannelModel for Clean {
-    fn retransmitted_frames(&self, _rng: &mut ChannelRng, _frames: u64) -> u64 {
-        0
-    }
-
-    fn impair(&self, _rng: &mut ChannelRng, _cap_entries: u16) -> Impairment {
-        Impairment::NONE
-    }
-
-    fn transfer_inflation(&self) -> f64 {
-        1.0
-    }
-}
-
 /// A noisy bus: per-frame error events forcing retransmission, and
 /// per-upload payload impairment (window loss or syndrome corruption),
 /// plus an optional payload truncation cap.
 ///
 /// All rates are probabilities in `[0, 1)`. The all-zero-rate, uncapped
-/// configuration is *exactly* [`Clean`] at the report level (the fleet
-/// equivalence-oracle proptest pins this).
+/// configuration is *exactly* [`ChannelConfig::Clean`] at the report level
+/// (the fleet equivalence-oracle proptest pins this).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoisyChannel {
     /// Probability an individual frame is hit by a bus error frame and
@@ -270,21 +226,21 @@ impl NoisyChannel {
     /// The per-vehicle channel sub-stream: one SplitMix64 mix of the
     /// domain-separated `(campaign seed, channel seed)` pair and the
     /// vehicle index. Disjoint from the simulation's own per-vehicle
-    /// stream by the [`CHANNEL_DOMAIN`] fold.
+    /// stream by a domain-separation fold (ASCII `"channel!"`).
     pub fn vehicle_rng(&self, campaign_seed: u64, vehicle: u32) -> ChannelRng {
         let domain = campaign_seed ^ self.seed ^ CHANNEL_DOMAIN;
         ChannelRng::new(ChannelRng::mix(
             domain.wrapping_add(u64::from(vehicle).wrapping_mul(GOLDEN)),
         ))
     }
-}
 
-impl ChannelModel for NoisyChannel {
-    /// One Bernoulli draw per offered frame. A zero error rate still
-    /// consumes draws from the (dedicated) channel stream but always
-    /// returns 0 — the consumer's pricing must add *nothing* in that case
-    /// so the zero-rate configuration stays bit-identical to [`Clean`].
-    fn retransmitted_frames(&self, rng: &mut ChannelRng, frames: u64) -> u64 {
+    /// Number of frames (out of `frames` offered) that had to be re-sent:
+    /// one Bernoulli draw per offered frame. Each retransmission costs the
+    /// consumer one extra frame time. A zero error rate still consumes
+    /// draws from the (dedicated) channel stream but always returns 0 —
+    /// the consumer's pricing must add *nothing* in that case so the
+    /// zero-rate configuration stays bit-identical to the clean channel.
+    pub fn retransmitted_frames(&self, rng: &mut ChannelRng, frames: u64) -> u64 {
         let mut retx = 0u64;
         for _ in 0..frames {
             if rng.chance(self.frame_error_rate) {
@@ -294,11 +250,14 @@ impl ChannelModel for NoisyChannel {
         retx
     }
 
+    /// The impairment inflicted on one upload whose payload the consumer
+    /// caps at `cap_entries` entries.
+    ///
     /// Pinned draw order (any change re-freezes noisy digests): one
     /// window-loss Bernoulli first; on a hit one `below(8)` slot draw.
     /// Otherwise one corruption Bernoulli; on a hit one `below(16)` salt
     /// draw. The cap applies regardless of the content outcome.
-    fn impair(&self, rng: &mut ChannelRng, cap_entries: u16) -> Impairment {
+    pub fn impair(&self, rng: &mut ChannelRng, cap_entries: u16) -> Impairment {
         let kind = if rng.chance(self.window_loss_rate) {
             ImpairmentKind::WindowLost {
                 slot: rng.below(8) as u8,
@@ -313,7 +272,10 @@ impl ChannelModel for NoisyChannel {
         Impairment { cap_entries, kind }
     }
 
-    fn transfer_inflation(&self) -> f64 {
+    /// Deterministic Eq. (1) re-pricing factor for *streamed* transfers:
+    /// with frame error rate `p`, each frame is sent `1/(1-p)` times in
+    /// expectation, so the effective transfer time inflates by that factor.
+    pub fn transfer_inflation(&self) -> f64 {
         1.0 / (1.0 - self.frame_error_rate)
     }
 }
@@ -357,26 +319,12 @@ impl ChannelConfig {
             ChannelConfig::Noisy(n) => n.validate(),
         }
     }
-}
 
-impl ChannelModel for ChannelConfig {
-    fn retransmitted_frames(&self, rng: &mut ChannelRng, frames: u64) -> u64 {
+    /// The Eq. (1) re-pricing factor of streamed transfers:
+    /// [`NoisyChannel::transfer_inflation`], or `1.0` for a clean channel.
+    pub fn transfer_inflation(&self) -> f64 {
         match self {
-            ChannelConfig::Clean => Clean.retransmitted_frames(rng, frames),
-            ChannelConfig::Noisy(n) => n.retransmitted_frames(rng, frames),
-        }
-    }
-
-    fn impair(&self, rng: &mut ChannelRng, cap_entries: u16) -> Impairment {
-        match self {
-            ChannelConfig::Clean => Clean.impair(rng, cap_entries),
-            ChannelConfig::Noisy(n) => n.impair(rng, cap_entries),
-        }
-    }
-
-    fn transfer_inflation(&self) -> f64 {
-        match self {
-            ChannelConfig::Clean => Clean.transfer_inflation(),
+            ChannelConfig::Clean => 1.0,
             ChannelConfig::Noisy(n) => n.transfer_inflation(),
         }
     }
@@ -407,17 +355,6 @@ mod tests {
         }
     }
 
-    /// `Clean` consumes no draws: RNG state is untouched by any call.
-    #[test]
-    fn clean_is_a_draw_free_identity() {
-        let mut rng = ChannelRng::new(7);
-        let before = rng;
-        assert_eq!(Clean.retransmitted_frames(&mut rng, 1_000_000), 0);
-        assert_eq!(Clean.impair(&mut rng, 3), Impairment::NONE);
-        assert_eq!(Clean.transfer_inflation(), 1.0);
-        assert_eq!(rng, before, "Clean must not consume RNG draws");
-    }
-
     /// A zero-rate noisy channel returns identity *outcomes* (it does
     /// consume draws — from its own dedicated stream).
     #[test]
@@ -429,6 +366,8 @@ mod tests {
         assert_eq!(imp, Impairment::NONE);
         assert!(imp.is_none());
         assert_eq!(noisy.transfer_inflation(), 1.0);
+        assert_eq!(ChannelConfig::Noisy(noisy).transfer_inflation(), 1.0);
+        assert_eq!(ChannelConfig::Clean.transfer_inflation(), 1.0);
     }
 
     #[test]

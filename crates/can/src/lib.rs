@@ -20,7 +20,13 @@
 //!   cross-check the analysis and to *demonstrate* non-intrusiveness rather
 //!   than assume it,
 //! * [`mirror_messages`]/[`transfer_time_s`] — the schedule mirroring and
-//!   Eq. (1).
+//!   Eq. (1),
+//! * [`TransportConfig`] — classic-CAN mirroring, CAN FD ([`fd`]) or
+//!   FlexRay static slots ([`flexray`]), built into a [`Transport`]: the
+//!   per-node payload bandwidth that prices every test-data transfer,
+//! * [`ChannelConfig`] — the clean pass-through channel or a seeded
+//!   [`NoisyChannel`] with frame errors, payload impairment and
+//!   truncation ([`channel`]).
 //!
 //! # Example
 //!
@@ -56,16 +62,13 @@ pub mod transport;
 
 pub use bus::{BusSim, BusSimError, MessageStats, SimResult};
 pub use channel::{
-    ChannelConfig, ChannelError, ChannelModel, ChannelRng, Clean, Impairment, ImpairmentKind,
-    NoisyChannel,
+    ChannelConfig, ChannelError, ChannelRng, Impairment, ImpairmentKind, NoisyChannel,
 };
 pub use frame::{frame_bits, CanId, InvalidCanIdError, InvalidPayloadError, BUS_BITRATE_BPS};
 pub use message::{InvalidMessageError, Message};
 pub use mirror::{mirror_messages, mirror_messages_auto, transfer_time_s, MirrorError};
 pub use rta::{analyze, response_time, RtaError, RtaResult};
-pub use transport::{
-    CanFd, FlexRayStatic, MirroredCan, Transport, TransportConfig, TransportError, TransportKind,
-};
+pub use transport::{Transport, TransportConfig, TransportError, TransportKind};
 
 use std::error::Error;
 use std::fmt;
@@ -90,7 +93,7 @@ pub enum CanError {
     Fd(fd::InvalidFdPayloadError),
     /// FlexRay slot assignment failed.
     FlexRay(flexray::FlexRayError),
-    /// Transport backend construction or validation failed.
+    /// A transport configuration was rejected or could not be built.
     Transport(TransportError),
     /// Channel-impairment configuration rejected.
     Channel(ChannelError),

@@ -1,46 +1,37 @@
-//! The unified `Transport` abstraction: classic-CAN mirroring, CAN FD and
-//! FlexRay as interchangeable test-data backends.
+//! Test-data transports: classic-CAN mirroring, CAN FD and FlexRay as one
+//! per-node bandwidth table.
 //!
 //! The paper's non-intrusive scheme hinges on one quantity: the time to
 //! move `s` bytes of test data (or fail data) to/from an inactive ECU
 //! without perturbing the certified bus schedule. Eq. (1) gives it for
 //! classic-CAN mirroring; the outlook sketches the same argument for CAN
 //! FD (identical arbitration, faster data phase, bigger payloads) and
-//! FlexRay (static-segment TDMA, non-intrusive by construction). This
-//! module makes the *transport choice itself* a first-class axis:
+//! FlexRay (static-segment TDMA, non-intrusive by construction). Each of
+//! them reduces to one payload bandwidth per node:
 //!
-//! * [`Transport`] — the trait every backend implements: per-node payload
-//!   bandwidth, the transfer-time query, and a schedulability/validation
-//!   hook,
-//! * [`MirroredCan`] — wraps the Eq. (1) mirror arithmetic of
-//!   [`crate::transfer_time_s`] behaviour-identically (bit for bit),
-//! * [`CanFd`] — wraps [`FdConfig`]: each mirrored frame's payload scales
-//!   by a multiplier and rounds up to the next DLC-encodable length,
-//! * [`FlexRayStatic`] — wraps [`FlexRaySchedule::transfer_time_s`]: a
-//!   node's bandwidth is the static-slot payload it owns per cycle,
-//! * [`TransportConfig`] — the declarative parameter block higher layers
-//!   (DSE objectives, fleet blueprints, bench binaries) carry around and
-//!   [`build`](TransportConfig::build) into a concrete backend per
-//!   implementation.
+//! * [`TransportConfig`] — the declarative selection plus parameters the
+//!   layers above (DSE objectives, fleet blueprints, bench binaries) carry
+//!   around; [`validate`](TransportConfig::validate) is the one place the
+//!   parameters are checked,
+//! * [`Transport`] — what [`build`](TransportConfig::build) returns over
+//!   per-node message sets: the payload bandwidth of every node, summed
+//!   once in message order, and the Eq. (1) transfer-time query.
 //!
 //! Nodes are opaque `u32` tags (the same convention as
-//! [`FlexRaySchedule`]); callers map their ECU identifiers onto them.
-//! All three backends are deterministic: the same node → message-set /
-//! slot assignment always produces the same bandwidth sum, in the same
-//! floating-point order, so higher layers can promise bit-identical
+//! [`FlexRaySchedule`]); callers map their ECU identifiers onto them. The
+//! same node → message-set map always produces the same bandwidths, in the
+//! same floating-point order, so higher layers can promise bit-identical
 //! results at any thread count.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use crate::fd::{fd_payload_round_up, FdConfig, InvalidFdPayloadError};
+use crate::fd::{fd_payload_round_up, FdConfig};
 use crate::flexray::{FlexRayConfig, FlexRayError, FlexRaySchedule};
-use crate::frame::BUS_BITRATE_BPS;
 use crate::message::Message;
-use crate::mirror::MirrorError;
 
-/// Which backend a [`Transport`] object (or a [`TransportConfig`]) is.
+/// Which transport a [`TransportConfig`] selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TransportKind {
     /// Classic-CAN schedule mirroring (Eq. (1) of the paper).
@@ -52,7 +43,7 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// All backends, in canonical (classic → FD → FlexRay) order.
+    /// All transports, in canonical (classic → FD → FlexRay) order.
     pub const ALL: [TransportKind; 3] =
         [TransportKind::MirroredCan, TransportKind::CanFd, TransportKind::FlexRay];
 
@@ -81,19 +72,12 @@ pub enum TransportError {
     /// message, no static slot) — a transfer can never complete.
     NoBandwidth(u32),
     /// A bus configuration grants zero bandwidth overall: an [`FdConfig`]
-    /// with a zero bit rate, or a [`FlexRayConfig`] with a zero cycle,
-    /// zero slots or zero slot payload. Previously such configurations
-    /// silently produced `inf`/`NaN` transfer times.
+    /// with a zero bit rate, or a FlexRay configuration with a zero cycle,
+    /// zero slots, zero slot payload or zero slots per node. Previously
+    /// such configurations silently produced `inf`/`NaN` transfer times.
     ZeroBandwidth,
     /// The CAN FD payload multiplier is not a positive finite number.
     InvalidMultiplier(f64),
-    /// The schedule over-subscribes the bus: aggregate worst-case frame
-    /// utilisation exceeds 1. Carried value is the computed utilisation.
-    Overloaded(f64),
-    /// A payload did not fit any CAN FD DLC length.
-    Fd(InvalidFdPayloadError),
-    /// Mirror construction or an identifier-level invariant failed.
-    Mirror(MirrorError),
     /// FlexRay slot assignment failed.
     FlexRay(FlexRayError),
 }
@@ -110,11 +94,6 @@ impl fmt::Display for TransportError {
             TransportError::InvalidMultiplier(m) => {
                 write!(f, "CAN FD payload multiplier must be positive and finite, got {m}")
             }
-            TransportError::Overloaded(u) => {
-                write!(f, "schedule over-subscribes the bus (utilisation {u:.3} > 1)")
-            }
-            TransportError::Fd(e) => e.fmt(f),
-            TransportError::Mirror(e) => e.fmt(f),
             TransportError::FlexRay(e) => e.fmt(f),
         }
     }
@@ -123,23 +102,9 @@ impl fmt::Display for TransportError {
 impl Error for TransportError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            TransportError::Fd(e) => Some(e),
-            TransportError::Mirror(e) => Some(e),
             TransportError::FlexRay(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<InvalidFdPayloadError> for TransportError {
-    fn from(e: InvalidFdPayloadError) -> Self {
-        TransportError::Fd(e)
-    }
-}
-
-impl From<MirrorError> for TransportError {
-    fn from(e: MirrorError) -> Self {
-        TransportError::Mirror(e)
     }
 }
 
@@ -149,30 +114,20 @@ impl From<FlexRayError> for TransportError {
     }
 }
 
-/// A test-data transport: the bus-side abstraction every layer above the
-/// CAN crate (DSE objectives, fleet blueprints, bench binaries) queries
-/// instead of calling backend-specific free functions.
-///
-/// The contract:
-///
-/// * [`bandwidth_bytes_per_s`](Transport::bandwidth_bytes_per_s) is the
-///   aggregate payload bandwidth the certified schedule grants `node`
-///   without perturbing any other participant (the denominator of Eq. (1)
-///   and its analogues). `0.0` for unknown nodes.
-/// * [`transfer_time_s`](Transport::transfer_time_s) is the Eq. (1)
-///   query: seconds to move `data_bytes` through that bandwidth. A node
-///   without bandwidth is a typed [`TransportError::NoBandwidth`], never
-///   a silent `inf`.
-/// * [`validate`](Transport::validate) is the schedulability hook: checks
-///   the backend's own invariants (identifier uniqueness, DLC
-///   encodability, bus utilisation ≤ 1, non-degenerate configuration).
-pub trait Transport {
-    /// Which backend this is.
-    fn kind(&self) -> TransportKind;
+/// A built test-data transport: the aggregate payload bandwidth the
+/// certified schedule grants each node without perturbing any other
+/// participant (the denominator of Eq. (1) and its analogues).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Transport {
+    bandwidth: BTreeMap<u32, f64>,
+}
 
-    /// Aggregate payload bandwidth (bytes/s) available to `node`;
-    /// `0.0` when the transport grants the node nothing.
-    fn bandwidth_bytes_per_s(&self, node: u32) -> f64;
+impl Transport {
+    /// Aggregate payload bandwidth (bytes/s) available to `node`; `0.0`
+    /// for a node the transport was not built over.
+    pub fn bandwidth_bytes_per_s(&self, node: u32) -> f64 {
+        self.bandwidth.get(&node).copied().unwrap_or(0.0)
+    }
 
     /// Transfer time (seconds) of `data_bytes` of test data to/from
     /// `node` — Eq. (1) for mirrored CAN, its analogues for FD/FlexRay.
@@ -180,8 +135,8 @@ pub trait Transport {
     /// # Errors
     ///
     /// [`TransportError::NoBandwidth`] when the node has no payload
-    /// bandwidth on this transport.
-    fn transfer_time_s(&self, node: u32, data_bytes: u64) -> Result<f64, TransportError> {
+    /// bandwidth on this transport, never a silent `inf`.
+    pub fn transfer_time_s(&self, node: u32, data_bytes: u64) -> Result<f64, TransportError> {
         let bandwidth = self.bandwidth_bytes_per_s(node);
         if bandwidth <= 0.0 {
             Err(TransportError::NoBandwidth(node))
@@ -189,281 +144,33 @@ pub trait Transport {
             Ok(data_bytes as f64 / bandwidth)
         }
     }
-
-    /// Schedulability/validation hook: checks the backend invariants that
-    /// make the non-intrusiveness argument sound.
-    ///
-    /// # Errors
-    ///
-    /// A [`TransportError`] describing the first violated invariant.
-    fn validate(&self) -> Result<(), TransportError>;
 }
 
-/// Classic-CAN mirroring — Eq. (1), behaviour-identical to
-/// [`crate::transfer_time_s`].
-///
-/// Each node owns a set of (mirrored or functional — both carry identical
-/// payload sizes in **bytes** and periods) [`Message`]s; the bandwidth is
-/// their aggregate `s(c)/p(c)` sum, accumulated in message order so the
-/// result is bit-for-bit the historical free-function value.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MirroredCan {
-    nodes: BTreeMap<u32, Vec<Message>>,
-}
-
-impl MirroredCan {
-    /// Builds the backend over per-node message sets.
-    pub fn new(nodes: BTreeMap<u32, Vec<Message>>) -> Self {
-        MirroredCan { nodes }
-    }
-
-    /// The messages a node streams test data over (empty for unknown
-    /// nodes).
-    pub fn messages(&self, node: u32) -> &[Message] {
-        self.nodes.get(&node).map(Vec::as_slice).unwrap_or(&[])
-    }
-}
-
-impl Transport for MirroredCan {
-    fn kind(&self) -> TransportKind {
-        TransportKind::MirroredCan
-    }
-
-    fn bandwidth_bytes_per_s(&self, node: u32) -> f64 {
-        self.nodes
-            .get(&node)
-            .map(|msgs| msgs.iter().map(Message::payload_bandwidth_bytes_per_s).sum())
-            .unwrap_or(0.0)
-    }
-
-    fn validate(&self) -> Result<(), TransportError> {
-        // Identifier uniqueness across the whole set: a duplicate id makes
-        // arbitration nondeterministic and voids the mirroring argument.
-        let mut seen = BTreeSet::new();
-        let mut utilization = 0.0f64;
-        for m in self.nodes.values().flatten() {
-            if !seen.insert(m.id()) {
-                return Err(TransportError::Mirror(MirrorError::IdCollision(m.id())));
-            }
-            utilization += m.utilization(BUS_BITRATE_BPS);
-        }
-        if utilization > 1.0 {
-            return Err(TransportError::Overloaded(utilization));
-        }
-        Ok(())
-    }
-}
-
-/// CAN FD — mirrored arbitration with upgraded payloads.
-///
-/// CAN FD keeps classic arbitration (the mirroring argument carries over
-/// verbatim) but allows payloads up to 64 bytes at a faster data-phase bit
-/// rate. The backend scales every mirrored frame's payload (**bytes**) by
-/// `payload_multiplier`, rounds the result up to the next DLC-encodable
-/// length ([`fd_payload_round_up`]), and caps it at 64 — the period is
-/// untouched, so relative priorities and the certified schedule stay
-/// intact while the Eq. (1) bandwidth multiplies.
-///
-/// With `payload_multiplier == 1.0` every payload in `0..=8` maps to
-/// itself and the bandwidth arithmetic is the exact classic-CAN
-/// expression: transfer times match [`MirroredCan`] bit for bit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CanFd {
-    /// Per-node upgraded frames: `(fd payload bytes, period µs)`.
-    nodes: BTreeMap<u32, Vec<(u8, u64)>>,
-    config: FdConfig,
-    payload_multiplier: f64,
-}
-
-impl CanFd {
-    /// Builds the backend over per-node (classic) message sets, upgrading
-    /// every payload by `payload_multiplier`.
-    ///
-    /// # Errors
-    ///
-    /// * [`TransportError::InvalidMultiplier`] unless the multiplier is
-    ///   positive and finite,
-    /// * [`TransportError::ZeroBandwidth`] when either [`FdConfig`] bit
-    ///   rate is zero (see [`FdConfig::checked`]).
-    pub fn new(
-        nodes: BTreeMap<u32, Vec<Message>>,
-        config: FdConfig,
-        payload_multiplier: f64,
-    ) -> Result<Self, TransportError> {
-        if !payload_multiplier.is_finite() || payload_multiplier <= 0.0 {
-            return Err(TransportError::InvalidMultiplier(payload_multiplier));
-        }
-        let config = FdConfig::checked(config.nominal_bps, config.data_bps)?;
-        let mut upgraded: BTreeMap<u32, Vec<(u8, u64)>> = BTreeMap::new();
-        for (node, msgs) in nodes {
-            let frames = msgs
-                .iter()
-                .map(|m| {
-                    let p = Self::upgrade_payload(m.payload(), payload_multiplier)?;
-                    Ok((p, m.period_us()))
-                })
-                .collect::<Result<Vec<_>, TransportError>>()?;
-            upgraded.insert(node, frames);
-        }
-        Ok(CanFd {
-            nodes: upgraded,
-            config,
-            payload_multiplier,
-        })
-    }
-
-    /// A classic payload (bytes) scaled by `multiplier`, rounded up to the
-    /// next DLC-encodable FD length and capped at 64 bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::InvalidMultiplier`] unless the multiplier is
-    /// positive and finite.
-    pub fn upgrade_payload(payload: u8, multiplier: f64) -> Result<u8, TransportError> {
-        if !multiplier.is_finite() || multiplier <= 0.0 {
-            return Err(TransportError::InvalidMultiplier(multiplier));
-        }
-        if multiplier == 1.0 {
-            // Identity fast path: classic payloads 0..=8 are all
-            // DLC-encodable, and the exact payload keeps the bandwidth
-            // arithmetic bit-identical to classic CAN.
-            return Ok(fd_payload_round_up(payload)?);
-        }
-        let scaled = (f64::from(payload) * multiplier).ceil().clamp(0.0, 64.0);
-        Ok(fd_payload_round_up(scaled as u8)?)
-    }
-
-    /// The dual-rate bus configuration.
-    pub fn config(&self) -> FdConfig {
-        self.config
-    }
-
-    /// The payload upgrade factor.
-    pub fn payload_multiplier(&self) -> f64 {
-        self.payload_multiplier
-    }
-}
-
-impl Transport for CanFd {
-    fn kind(&self) -> TransportKind {
-        TransportKind::CanFd
-    }
-
-    fn bandwidth_bytes_per_s(&self, node: u32) -> f64 {
-        self.nodes
-            .get(&node)
-            .map(|frames| {
-                frames
-                    .iter()
-                    .map(|&(p, period)| self.config.payload_bandwidth_bytes_per_s(p, period))
-                    .sum()
-            })
-            .unwrap_or(0.0)
-    }
-
-    fn validate(&self) -> Result<(), TransportError> {
-        let config = FdConfig::checked(self.config.nominal_bps, self.config.data_bps)?;
-        // Schedulability: the upgraded frames must still fit their
-        // periods. Worst-case FD frame time per period, summed over the
-        // whole bus.
-        let mut utilization = 0.0f64;
-        for &(p, period) in self.nodes.values().flatten() {
-            let frame_us = config.frame_time_us(p)?;
-            utilization += frame_us as f64 / period.max(1) as f64;
-        }
-        if utilization > 1.0 {
-            return Err(TransportError::Overloaded(utilization));
-        }
-        Ok(())
-    }
-}
-
-/// FlexRay static segment — TDMA slots, non-intrusive by construction.
-///
-/// Wraps a [`FlexRaySchedule`]: a node's bandwidth is the payload of the
-/// static slots it owns per communication cycle, and
-/// [`Transport::transfer_time_s`] is exactly
-/// [`FlexRaySchedule::transfer_time_s`] with the silent `inf` of a
-/// slot-less node replaced by a typed [`TransportError::NoBandwidth`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlexRayStatic {
-    schedule: FlexRaySchedule,
-}
-
-impl FlexRayStatic {
-    /// Wraps an existing schedule.
-    pub fn new(schedule: FlexRaySchedule) -> Self {
-        FlexRayStatic { schedule }
-    }
-
-    /// Deterministic even assignment: each node of `nodes` (in the given
-    /// order) receives `slots_per_node` consecutive static slots until the
-    /// segment is exhausted; later nodes own nothing (their transfers are
-    /// typed [`TransportError::NoBandwidth`] errors).
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::ZeroBandwidth`] for a degenerate configuration
-    /// (zero cycle length, zero slots, zero slot payload).
-    pub fn evenly_assigned(
-        config: FlexRayConfig,
-        nodes: &[u32],
-        slots_per_node: u16,
-    ) -> Result<Self, TransportError> {
-        if config.cycle_us == 0 || config.static_slots == 0 || config.slot_payload_bytes == 0 {
-            return Err(TransportError::ZeroBandwidth);
-        }
-        let mut schedule = FlexRaySchedule::new(config);
-        let mut next_slot = 0u16;
-        'nodes: for &node in nodes {
-            for _ in 0..slots_per_node {
-                if next_slot >= config.static_slots {
-                    break 'nodes;
-                }
-                schedule.assign(next_slot, node)?;
-                next_slot += 1;
-            }
-        }
-        Ok(FlexRayStatic { schedule })
-    }
-
-    /// The underlying static-segment schedule.
-    pub fn schedule(&self) -> &FlexRaySchedule {
-        &self.schedule
-    }
-}
-
-impl Transport for FlexRayStatic {
-    fn kind(&self) -> TransportKind {
-        TransportKind::FlexRay
-    }
-
-    fn bandwidth_bytes_per_s(&self, node: u32) -> f64 {
-        self.schedule.node_bandwidth_bytes_per_s(node)
-    }
-
-    fn validate(&self) -> Result<(), TransportError> {
-        let config = self.schedule.config();
-        if config.cycle_us == 0 || config.static_slots == 0 || config.slot_payload_bytes == 0 {
-            return Err(TransportError::ZeroBandwidth);
-        }
-        // TDMA utilisation cannot exceed 1 by construction (exclusive
-        // slots); nothing further to check.
-        Ok(())
-    }
+/// A classic payload (bytes) scaled by `multiplier`, rounded up to the
+/// next DLC-encodable FD length and capped at 64 bytes. A multiplier of
+/// exactly 1.0 returns the payload itself: the product and its `ceil` are
+/// exact for an integer payload.
+fn upgrade_payload(payload: u8, multiplier: f64) -> u8 {
+    let scaled = (f64::from(payload) * multiplier).ceil().clamp(0.0, 64.0);
+    // Every length up to 64 rounds up to a DLC-encodable one.
+    fd_payload_round_up(scaled as u8).unwrap_or(64)
 }
 
 /// Declarative transport selection plus parameters — what the layers above
 /// carry in their configuration structs (`DseConfig`, fleet blueprints,
-/// bench knobs) and [`build`](TransportConfig::build) into a concrete
-/// [`Transport`] per decoded implementation.
+/// bench knobs) and [`build`](TransportConfig::build) into a [`Transport`]
+/// per decoded implementation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum TransportConfig {
-    /// Classic-CAN mirroring (the paper's baseline; the default).
+    /// Classic-CAN mirroring (the paper's baseline; the default): a node's
+    /// bandwidth is Σ `s(c)/p(c)` over its messages.
     #[default]
     MirroredCan,
-    /// CAN FD with a dual-rate bus configuration and a payload upgrade
-    /// factor applied to every mirrored frame.
+    /// CAN FD: classic arbitration (the mirroring argument carries over
+    /// verbatim), every frame's payload scaled by `payload_multiplier`,
+    /// rounded up to the next DLC-encodable length and capped at 64 bytes.
+    /// Periods are untouched, so relative priorities and the certified
+    /// schedule stay intact while the Eq. (1) bandwidth multiplies.
     CanFd {
         /// Dual-rate bus configuration.
         config: FdConfig,
@@ -471,12 +178,14 @@ pub enum TransportConfig {
         /// bit; `8.0` upgrades 8-byte frames to 64-byte FD frames).
         payload_multiplier: f64,
     },
-    /// FlexRay static segment with an even slot assignment.
+    /// FlexRay static segment: a node's bandwidth is the payload of the
+    /// static slots it owns per communication cycle.
     FlexRay {
         /// Static-segment configuration.
         config: FlexRayConfig,
-        /// Static slots granted to each node, in node order, until the
-        /// segment is exhausted.
+        /// Consecutive static slots granted to each node, in ascending
+        /// node order, until the segment is exhausted; later nodes own
+        /// nothing.
         slots_per_node: u16,
     },
 }
@@ -500,7 +209,7 @@ impl TransportConfig {
         }
     }
 
-    /// The backend this configuration selects.
+    /// The transport this configuration selects.
     pub fn kind(&self) -> TransportKind {
         match self {
             TransportConfig::MirroredCan => TransportKind::MirroredCan,
@@ -509,7 +218,7 @@ impl TransportConfig {
         }
     }
 
-    /// The default configuration of a given backend.
+    /// The default configuration of a given transport.
     pub fn for_kind(kind: TransportKind) -> Self {
         match kind {
             TransportKind::MirroredCan => TransportConfig::MirroredCan,
@@ -518,16 +227,18 @@ impl TransportConfig {
         }
     }
 
-    /// Checks the configuration parameters without building a backend —
-    /// everything [`build`](TransportConfig::build) could reject that does
-    /// not depend on the node → message-set map.
+    /// Checks the configuration parameters: everything
+    /// [`build`](TransportConfig::build) could reject, none of which
+    /// depends on the node → message-set map.
     ///
     /// # Errors
     ///
-    /// * [`TransportError::InvalidMultiplier`] / [`TransportError::ZeroBandwidth`]
-    ///   for degenerate CAN FD parameters,
-    /// * [`TransportError::ZeroBandwidth`] for a degenerate FlexRay
-    ///   configuration.
+    /// * [`TransportError::InvalidMultiplier`] unless the CAN FD
+    ///   multiplier is positive and finite,
+    /// * [`TransportError::ZeroBandwidth`] for a zero CAN FD bit rate
+    ///   ([`FdConfig::checked`]), or a FlexRay configuration with a zero
+    ///   cycle length, zero slots, zero slot payload or zero slots per
+    ///   node.
     pub fn validate(&self) -> Result<(), TransportError> {
         match self {
             TransportConfig::MirroredCan => Ok(()),
@@ -540,8 +251,14 @@ impl TransportConfig {
                 }
                 FdConfig::checked(config.nominal_bps, config.data_bps).map(|_| ())
             }
-            TransportConfig::FlexRay { config, .. } => {
-                if config.cycle_us == 0 || config.static_slots == 0 || config.slot_payload_bytes == 0
+            TransportConfig::FlexRay {
+                config,
+                slots_per_node,
+            } => {
+                if config.cycle_us == 0
+                    || config.static_slots == 0
+                    || config.slot_payload_bytes == 0
+                    || *slots_per_node == 0
                 {
                     return Err(TransportError::ZeroBandwidth);
                 }
@@ -550,37 +267,63 @@ impl TransportConfig {
         }
     }
 
-    /// Builds a concrete backend over per-node message sets (for FlexRay,
-    /// only the node *keys* matter: slots are assigned evenly over them in
-    /// ascending node order).
+    /// Builds the per-node bandwidth table over per-node message sets (for
+    /// FlexRay only the node *keys* matter: slots are assigned evenly over
+    /// them in ascending node order). Every node of `nodes` gets an entry,
+    /// summed once in message order.
     ///
     /// # Errors
     ///
-    /// The same parameter errors as [`validate`](TransportConfig::validate);
+    /// The parameter errors of [`validate`](TransportConfig::validate);
     /// node-map-dependent errors cannot occur (payload upgrades are capped
     /// and slot assignment stops at the segment boundary).
-    pub fn build(
-        &self,
-        nodes: BTreeMap<u32, Vec<Message>>,
-    ) -> Result<Box<dyn Transport>, TransportError> {
-        match self {
-            TransportConfig::MirroredCan => Ok(Box::new(MirroredCan::new(nodes))),
+    pub fn build(&self, nodes: BTreeMap<u32, Vec<Message>>) -> Result<Transport, TransportError> {
+        self.validate()?;
+        let bandwidth = match self {
+            TransportConfig::MirroredCan => nodes
+                .into_iter()
+                .map(|(node, msgs)| {
+                    let bandwidth = msgs
+                        .iter()
+                        .map(Message::payload_bandwidth_bytes_per_s)
+                        .sum();
+                    (node, bandwidth)
+                })
+                .collect(),
             TransportConfig::CanFd {
                 config,
                 payload_multiplier,
-            } => Ok(Box::new(CanFd::new(nodes, *config, *payload_multiplier)?)),
+            } => nodes
+                .into_iter()
+                .map(|(node, msgs)| {
+                    let bandwidth = msgs
+                        .iter()
+                        .map(|m| {
+                            let payload = upgrade_payload(m.payload(), *payload_multiplier);
+                            config.payload_bandwidth_bytes_per_s(payload, m.period_us())
+                        })
+                        .sum();
+                    (node, bandwidth)
+                })
+                .collect(),
             TransportConfig::FlexRay {
                 config,
                 slots_per_node,
             } => {
-                let node_ids: Vec<u32> = nodes.keys().copied().collect();
-                Ok(Box::new(FlexRayStatic::evenly_assigned(
-                    *config,
-                    &node_ids,
-                    *slots_per_node,
-                )?))
+                let mut schedule = FlexRaySchedule::new(*config);
+                let mut free = 0..config.static_slots;
+                for &node in nodes.keys() {
+                    for slot in free.by_ref().take(usize::from(*slots_per_node)) {
+                        schedule.assign(slot, node)?;
+                    }
+                }
+                nodes
+                    .keys()
+                    .map(|&node| (node, schedule.node_bandwidth_bytes_per_s(node)))
+                    .collect()
             }
-        }
+        };
+        Ok(Transport { bandwidth })
     }
 }
 
@@ -601,33 +344,49 @@ mod tests {
         m
     }
 
+    fn build(config: TransportConfig) -> Transport {
+        config.build(nodes()).expect("valid configuration")
+    }
+
+    fn fd(payload_multiplier: f64) -> TransportConfig {
+        TransportConfig::CanFd {
+            config: FdConfig::default(),
+            payload_multiplier,
+        }
+    }
+
+    fn flexray(config: FlexRayConfig, slots_per_node: u16) -> TransportConfig {
+        TransportConfig::FlexRay {
+            config,
+            slots_per_node,
+        }
+    }
+
     #[test]
     fn mirrored_can_matches_free_function_bit_for_bit() {
-        let backend = MirroredCan::new(nodes());
-        for (node, msgs) in [
-            (3u32, vec![msg(0x100, 4, 10_000), msg(0x108, 8, 20_000)]),
-            (7u32, vec![msg(0x200, 2, 50_000)]),
-        ] {
+        let transport = build(TransportConfig::MirroredCan);
+        for (node, msgs) in nodes() {
             for bytes in [0u64, 1, 1600, 1 << 20, u64::MAX >> 16] {
                 let free = transfer_time_s(bytes, &msgs).expect("bandwidth positive");
-                let via_trait = backend.transfer_time_s(node, bytes).expect("bandwidth positive");
-                assert_eq!(free.to_bits(), via_trait.to_bits(), "node {node}, {bytes} B");
+                let table = transport
+                    .transfer_time_s(node, bytes)
+                    .expect("bandwidth positive");
+                assert_eq!(free.to_bits(), table.to_bits(), "node {node}, {bytes} B");
             }
         }
         assert_eq!(
-            backend.transfer_time_s(99, 100),
+            transport.transfer_time_s(99, 100),
             Err(TransportError::NoBandwidth(99))
         );
     }
 
     #[test]
     fn fd_multiplier_one_is_classic_identity() {
-        let backend =
-            CanFd::new(nodes(), FdConfig::default(), 1.0).expect("valid configuration");
-        let classic = MirroredCan::new(nodes());
+        let fd = build(fd(1.0));
+        let classic = build(TransportConfig::MirroredCan);
         for node in [3u32, 7] {
             assert_eq!(
-                backend.bandwidth_bytes_per_s(node).to_bits(),
+                fd.bandwidth_bytes_per_s(node).to_bits(),
                 classic.bandwidth_bytes_per_s(node).to_bits()
             );
         }
@@ -635,8 +394,8 @@ mod tests {
 
     #[test]
     fn fd_multiplier_scales_bandwidth() {
-        let classic = MirroredCan::new(nodes());
-        let fd = CanFd::new(nodes(), FdConfig::default(), 8.0).expect("valid configuration");
+        let classic = build(TransportConfig::MirroredCan);
+        let fd = build(fd(8.0));
         // 4→32, 8→64, 2→16: exact ×8 upgrades.
         for node in [3u32, 7] {
             let ratio = fd.bandwidth_bytes_per_s(node) / classic.bandwidth_bytes_per_s(node);
@@ -650,46 +409,47 @@ mod tests {
     #[test]
     fn fd_rejects_degenerate_parameters() {
         assert_eq!(
-            CanFd::new(nodes(), FdConfig::default(), 0.0).err(),
+            fd(0.0).build(nodes()).err(),
             Some(TransportError::InvalidMultiplier(0.0))
         );
         assert_eq!(
-            CanFd::new(nodes(), FdConfig::default(), f64::NAN)
+            fd(f64::NAN)
+                .build(nodes())
                 .err()
                 .map(|e| matches!(e, TransportError::InvalidMultiplier(_))),
             Some(true)
         );
-        let zero = FdConfig {
-            nominal_bps: 0,
-            data_bps: 2_000_000,
+        let zero = TransportConfig::CanFd {
+            config: FdConfig {
+                nominal_bps: 0,
+                data_bps: 2_000_000,
+            },
+            payload_multiplier: 1.0,
         };
         assert_eq!(
-            CanFd::new(nodes(), zero, 1.0).err(),
+            zero.build(nodes()).err(),
             Some(TransportError::ZeroBandwidth)
         );
     }
 
     #[test]
     fn fd_upgrade_rounds_and_caps() {
-        assert_eq!(CanFd::upgrade_payload(8, 1.0), Ok(8));
-        assert_eq!(CanFd::upgrade_payload(8, 8.0), Ok(64));
-        assert_eq!(CanFd::upgrade_payload(8, 100.0), Ok(64), "capped at 64");
-        assert_eq!(CanFd::upgrade_payload(3, 2.0), Ok(6));
-        assert_eq!(CanFd::upgrade_payload(5, 2.0), Ok(12), "10 rounds to 12");
-        assert_eq!(CanFd::upgrade_payload(0, 4.0), Ok(0));
+        assert_eq!(upgrade_payload(8, 1.0), 8);
+        assert_eq!(upgrade_payload(8, 8.0), 64);
+        assert_eq!(upgrade_payload(8, 100.0), 64, "capped at 64");
+        assert_eq!(upgrade_payload(3, 2.0), 6);
+        assert_eq!(upgrade_payload(5, 2.0), 12, "10 rounds to 12");
+        assert_eq!(upgrade_payload(0, 4.0), 0);
     }
 
     #[test]
     fn flexray_even_assignment_is_deterministic() {
-        let a = FlexRayStatic::evenly_assigned(FlexRayConfig::default(), &[3, 7], 4)
-            .expect("valid configuration");
-        let b = FlexRayStatic::evenly_assigned(FlexRayConfig::default(), &[3, 7], 4)
-            .expect("valid configuration");
-        assert_eq!(a, b);
-        assert_eq!(a.schedule().slots_of(3), vec![0, 1, 2, 3]);
-        assert_eq!(a.schedule().slots_of(7), vec![4, 5, 6, 7]);
-        // 4 slots × 32 B per 5 ms = 25,600 B/s.
-        assert!((a.bandwidth_bytes_per_s(3) - 25_600.0).abs() < 1e-9);
+        let a = build(flexray(FlexRayConfig::default(), 4));
+        assert_eq!(a, build(flexray(FlexRayConfig::default(), 4)));
+        // 4 slots × 32 B per 5 ms = 25,600 B/s, for each node.
+        for node in [3u32, 7] {
+            assert!((a.bandwidth_bytes_per_s(node) - 25_600.0).abs() < 1e-9);
+        }
         assert_eq!(
             a.transfer_time_s(99, 1),
             Err(TransportError::NoBandwidth(99)),
@@ -699,13 +459,17 @@ mod tests {
 
     #[test]
     fn flexray_exhausts_segment_gracefully() {
-        let many: Vec<u32> = (0..40).collect();
-        let t = FlexRayStatic::evenly_assigned(FlexRayConfig::default(), &many, 2)
+        let many: BTreeMap<u32, Vec<Message>> = (0..40).map(|n| (n, Vec::new())).collect();
+        let t = flexray(FlexRayConfig::default(), 2)
+            .build(many)
             .expect("valid configuration");
         // 62 slots / 2 per node → 31 nodes served, the rest own nothing.
         assert!(t.bandwidth_bytes_per_s(30) > 0.0);
         assert_eq!(t.bandwidth_bytes_per_s(31), 0.0);
-        assert!(t.validate().is_ok());
+        assert_eq!(
+            t.transfer_time_s(39, 1),
+            Err(TransportError::NoBandwidth(39))
+        );
     }
 
     #[test]
@@ -715,7 +479,7 @@ mod tests {
             ..FlexRayConfig::default()
         };
         assert_eq!(
-            FlexRayStatic::evenly_assigned(bad, &[1], 1).err(),
+            flexray(bad, 1).build(nodes()).err(),
             Some(TransportError::ZeroBandwidth)
         );
     }
@@ -726,52 +490,51 @@ mod tests {
             let cfg = TransportConfig::for_kind(kind);
             assert_eq!(cfg.kind(), kind);
             cfg.validate().expect("default configurations are valid");
-            let backend = cfg.build(nodes()).expect("default configurations build");
-            assert_eq!(backend.kind(), kind);
-            assert!(backend.bandwidth_bytes_per_s(3) > 0.0);
-            assert!(backend.validate().is_ok());
-            let t = backend.transfer_time_s(3, 1 << 20).expect("bandwidth positive");
+            let transport = build(cfg);
+            assert!(transport.bandwidth_bytes_per_s(3) > 0.0);
+            let t = transport
+                .transfer_time_s(3, 1 << 20)
+                .expect("bandwidth positive");
             assert!(t.is_finite() && t > 0.0);
         }
     }
 
     #[test]
     fn config_validate_catches_degenerate_parameters() {
-        let bad_fd = TransportConfig::CanFd {
-            config: FdConfig::default(),
-            payload_multiplier: -1.0,
-        };
-        assert_eq!(
-            bad_fd.validate(),
-            Err(TransportError::InvalidMultiplier(-1.0))
-        );
-        let bad_fr = TransportConfig::FlexRay {
-            config: FlexRayConfig {
-                slot_payload_bytes: 0,
-                ..FlexRayConfig::default()
-            },
-            slots_per_node: 1,
-        };
-        assert_eq!(bad_fr.validate(), Err(TransportError::ZeroBandwidth));
-    }
-
-    #[test]
-    fn mirrored_can_validate_checks_collisions_and_load() {
-        let mut n = BTreeMap::new();
-        n.insert(1u32, vec![msg(0x100, 4, 10_000)]);
-        n.insert(2u32, vec![msg(0x100, 8, 20_000)]);
-        let t = MirroredCan::new(n);
-        assert!(matches!(
-            t.validate(),
-            Err(TransportError::Mirror(MirrorError::IdCollision(_)))
-        ));
-        // A single hog with a 1 ms period over-subscribes 500 kbit/s.
-        let mut n = BTreeMap::new();
-        n.insert(1u32, (0..10).map(|i| msg(0x100 + i, 8, 1_000)).collect());
-        assert!(matches!(
-            MirroredCan::new(n).validate(),
-            Err(TransportError::Overloaded(_))
-        ));
+        for (config, error) in [
+            (fd(-1.0), TransportError::InvalidMultiplier(-1.0)),
+            (
+                flexray(
+                    FlexRayConfig {
+                        slot_payload_bytes: 0,
+                        ..FlexRayConfig::default()
+                    },
+                    1,
+                ),
+                TransportError::ZeroBandwidth,
+            ),
+            (
+                flexray(
+                    FlexRayConfig {
+                        static_slots: 0,
+                        ..FlexRayConfig::default()
+                    },
+                    1,
+                ),
+                TransportError::ZeroBandwidth,
+            ),
+            (
+                flexray(FlexRayConfig::default(), 0),
+                TransportError::ZeroBandwidth,
+            ),
+        ] {
+            assert_eq!(config.validate(), Err(error.clone()), "{config:?}");
+            assert_eq!(
+                config.build(nodes()),
+                Err(error),
+                "{config:?}: build validates first"
+            );
+        }
     }
 
     #[test]

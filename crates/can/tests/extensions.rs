@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use eea_can::fd::{fd_payload_round_up, FdConfig, FD_PAYLOADS};
 use eea_can::flexray::{FlexRayConfig, FlexRayError, FlexRaySchedule};
-use eea_can::{mirror_messages_auto, transfer_time_s, CanFd, CanId, Message, Transport};
+use eea_can::{mirror_messages_auto, transfer_time_s, CanId, Message, TransportConfig};
 
 /// A small ECU schedule: three functional messages with spaced ids.
 fn functional() -> Vec<Message> {
@@ -160,10 +160,10 @@ fn ulp_distance(a: f64, b: f64) -> u64 {
 
 proptest! {
     /// The degenerate FD upgrade (`payload_multiplier == 1.0`) is classic
-    /// CAN: for *any* message set, the [`CanFd`] transfer time is within
-    /// 1 ULP of the historical Eq. (1) free function (the identity fast
-    /// path in [`CanFd::upgrade_payload`] makes it bit-exact, but 1 ULP is
-    /// the contract).
+    /// CAN: for *any* message set, the CAN FD transfer time is within 1 ULP
+    /// of the historical Eq. (1) free function (scaling an integer payload
+    /// by exactly 1.0 is exact, which makes it bit-exact, but 1 ULP is the
+    /// contract).
     #[test]
     fn fd_multiplier_one_matches_classic_within_one_ulp(
         first_payload in 1u8..=8,
@@ -181,7 +181,12 @@ proptest! {
         let classic_q = transfer_time_s(data_bytes, &msgs).unwrap();
 
         let nodes: BTreeMap<u32, Vec<Message>> = [(7u32, msgs)].into();
-        let fd = CanFd::new(nodes, FdConfig::default(), 1.0).unwrap();
+        let fd = TransportConfig::CanFd {
+            config: FdConfig::default(),
+            payload_multiplier: 1.0,
+        }
+        .build(nodes)
+        .unwrap();
         let fd_q = fd.transfer_time_s(7, data_bytes).unwrap();
 
         prop_assert!(classic_q.is_finite() && fd_q.is_finite());

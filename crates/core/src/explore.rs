@@ -250,8 +250,8 @@ impl<'d> DseProblem<'d> {
     /// * one session per ECU with **gateway** storage (cheap shared memory,
     ///   long transfers).
     ///
-    /// All three corners sit on the [greedy cheap functional
-    /// allocation](Self::greedy_functional_prefix), so the no-BIST corner
+    /// All three corners sit on the greedy cheap functional allocation
+    /// (`greedy_functional_prefix`), so the no-BIST corner
     /// anchors the cost minimum and the session corners show what quality
     /// costs *relative to that same allocation* — the comparison behind the
     /// paper's "+3.7 %" headline. Injected as NSGA-II seeds so the

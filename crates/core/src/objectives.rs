@@ -77,8 +77,8 @@ pub struct MemorySummary {
 /// implementation over the paper's baseline transport, classic-CAN
 /// mirroring — equivalent to
 /// [`evaluate_with_transport`] with [`TransportConfig::MirroredCan`]
-/// (bit for bit: the trait's Eq. (1) arithmetic is the historical free
-/// function's).
+/// (bit for bit: the transport's Eq. (1) arithmetic is the historical
+/// free function's).
 pub fn evaluate(diag: &DiagSpec, x: &Implementation) -> (Objectives, MemorySummary) {
     evaluate_with_transport(diag, x, &TransportConfig::MirroredCan)
 }
@@ -141,10 +141,10 @@ pub fn evaluate_with_transport(
         sent_by.entry(src).or_default().push(message);
     }
 
-    // The transport backend for this implementation: nodes keyed by
-    // resource index, message sets in the construction order above (the
-    // bandwidth sums of the MirroredCan backend are then bit-identical to
-    // the historical free-function path).
+    // The transport's bandwidth table for this implementation: nodes keyed
+    // by resource index, message sets in the construction order above (the
+    // classic-CAN bandwidth sums are then bit-identical to the historical
+    // free-function path).
     let backend = transport
         .build(
             sent_by

@@ -4,10 +4,10 @@
 //! case-study exploration front. This module flattens an
 //! [`ExploredImplementation`] into the quantities the shut-off scheduler
 //! needs per BIST session: runtime `l(b)`, the transfer time of the
-//! encoded patterns over the blueprint's **transport backend**, and the
-//! upload bandwidth available for fail data on the same path.
+//! encoded patterns over the blueprint's **transport**, and the upload
+//! bandwidth available for fail data on the same path.
 //!
-//! For the CAN-based transports the backend is built over the ECU's
+//! For the CAN-based transports the bandwidth is built over the ECU's
 //! **actually mirrored** schedule (not just the bandwidth formula — the
 //! mirror identifiers are assigned via [`eea_can::mirror_messages_auto`],
 //! so a blueprint only claims an upload path the certified schedule really
@@ -90,8 +90,8 @@ pub struct VehicleBlueprint {
     /// The implementation's Eq. (5) shut-off time objective: the awake
     /// budget a single shut-off event may spend on BIST.
     pub shutoff_budget_s: f64,
-    /// The transport backend the session transfers and fail-data uploads
-    /// of this blueprint ride.
+    /// The transport the session transfers and fail-data uploads of this
+    /// blueprint ride.
     pub transport: TransportKind,
     /// The in-ECU cyclic task set of this blueprint's ECUs, when the
     /// campaign derives shut-off windows from the schedule's idle
@@ -169,8 +169,7 @@ pub fn blueprints_from_front(
 ///
 /// * [`FleetError::NoDiagnosableBlueprint`] when `front` is empty,
 /// * [`FleetError::Transport`] when the transport configuration is
-///   degenerate ([`TransportConfig::validate`]) or a backend cannot be
-///   built over a blueprint's message sets,
+///   degenerate ([`TransportConfig::validate`]),
 /// * [`FleetError::Mirror`] when identifier assignment overflows the
 ///   11-bit space (a specification with more than ~250 bound functional
 ///   messages).
@@ -215,7 +214,7 @@ pub fn blueprints_from_front_with(
             next_id += 8;
             sent_by.entry(src).or_default().push(message);
         }
-        // The transport backend's node map. For the CAN transports every
+        // The transport's node map. For the CAN transports every
         // node carries its *constructed mirrored* schedule (identifiers
         // really assigned, priority gaps respected); FlexRay needs only
         // the node keys — slots are assigned evenly in ascending node

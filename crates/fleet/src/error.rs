@@ -72,8 +72,7 @@ pub enum FleetError {
     Scan(ScanError),
     /// Schedule mirroring of a blueprint's functional messages failed.
     Mirror(MirrorError),
-    /// The campaign's transport configuration is degenerate or a backend
-    /// could not be built over a blueprint's message sets.
+    /// The campaign's transport configuration is degenerate.
     Transport(TransportError),
     /// A blueprint's in-ECU task set is structurally invalid or its
     /// fixed-priority schedule misses a deadline — surfaced at campaign

@@ -21,8 +21,8 @@
 //!    (Eq. (1) transfer and upload bandwidth from
 //!    [`eea_can::mirror_messages_auto`], not assumed);
 //!    [`blueprints_from_front_with`] re-prices the same plans over any
-//!    [`Transport`](eea_can::Transport) backend (classic mirrored CAN,
-//!    CAN FD, FlexRay static slots — DESIGN.md §9),
+//!    [`TransportConfig`] (classic mirrored CAN, CAN FD, FlexRay static
+//!    slots — DESIGN.md §9),
 //! 3. [`ShutoffModel`] — per-vehicle driving/parked alternation,
 //! 4. [`Campaign`] — seeded fleet generation: worker threads simulate
 //!    contiguous vehicle-index ranges and [`feed`](Campaign::feed) the
@@ -91,8 +91,8 @@ pub use eea_sched::{
 pub use campaign::{Arrivals, Campaign, CampaignConfig, StageTimings};
 pub use cut::{CutConfig, CutModel};
 pub use eea_can::{
-    ChannelConfig, ChannelError, ChannelModel, Impairment, ImpairmentKind, NoisyChannel,
-    TransportConfig, TransportError, TransportKind,
+    ChannelConfig, ChannelError, Impairment, ImpairmentKind, NoisyChannel, TransportConfig,
+    TransportError, TransportKind,
 };
 pub use error::{FleetError, MalformedKind};
 pub use gateway::{

@@ -13,7 +13,7 @@
 //! [`crate::CutModel`] stays valid here).
 
 use eea_bist::{CutFamily, MarchTest, FAIL_ENTRY_BYTES};
-use eea_can::{ChannelConfig, ChannelModel, Impairment};
+use eea_can::{ChannelConfig, Impairment};
 use eea_model::ResourceId;
 use eea_moea::Rng;
 use eea_sched::{FlatBudget, SchedPlan, TaskSchedule, WindowSource};
@@ -133,7 +133,7 @@ impl BlueprintTemplate {
                     // pattern frame is sent 1/(1 - p_err) times in
                     // expectation. A zero error rate inflates by exactly
                     // 1.0, and `x * 1.0` is bit-identical to `x` — the
-                    // equivalence-oracle contract with `Clean`.
+                    // equivalence-oracle contract with `ChannelConfig::Clean`.
                     noisy => p.transfer_s * noisy.transfer_inflation() + p.session_s,
                 };
                 (i, work)
@@ -352,7 +352,7 @@ pub(crate) fn simulate_vehicle(index: u32, ctx: &SimContext<'_>, seed: u64) -> V
                 // Each re-sent frame costs one frame payload of upload
                 // time over the same mirrored schedule. The zero-
                 // retransmission arm adds *nothing*, keeping zero-rate
-                // channels bit-identical to `Clean`.
+                // channels bit-identical to `ChannelConfig::Clean`.
                 retransmit_s = blueprint.sessions[d.plan].upload_s(retx * CAN_FRAME_PAYLOAD_BYTES);
                 up += retransmit_s;
                 retransmitted_frames = u32::try_from(retx).unwrap_or(u32::MAX);

@@ -33,7 +33,6 @@
 
 mod archive;
 mod dominance;
-mod epsilon;
 mod indicators;
 mod nsga2;
 mod rng;
@@ -41,7 +40,6 @@ mod spea2;
 
 pub use archive::{ArchiveEntry, ParetoArchive};
 pub use dominance::{dominates, relation, Relation};
-pub use epsilon::{EpsilonArchive, EpsilonEntry};
 pub use indicators::{additive_epsilon, hypervolume};
 pub use nsga2::{
     crowding_distances, non_dominated_ranks, run, Individual, Nsga2Config, Nsga2Result, Problem,

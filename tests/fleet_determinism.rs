@@ -400,11 +400,11 @@ proptest! {
 
     /// Equivalence oracle for the channel layer: a zero-rate, uncapped
     /// `NoisyChannel` — which still owns and advances its dedicated
-    /// per-vehicle RNG streams — must reproduce the `Clean` campaign
-    /// **bit-for-bit**, for any campaign seed, channel seed, fleet size,
-    /// transport and thread count. This pins the noisy path against the
-    /// same frozen contract `Clean` carries (the channel sibling of
-    /// `degenerate_task_set_reproduces_flat_budget`).
+    /// per-vehicle RNG streams — must reproduce the `ChannelConfig::Clean`
+    /// campaign **bit-for-bit**, for any campaign seed, channel seed, fleet
+    /// size, transport and thread count. This pins the noisy path against
+    /// the same frozen contract the clean channel carries (the channel
+    /// sibling of `degenerate_task_set_reproduces_flat_budget`).
     #[test]
     fn zero_rate_noisy_channel_reproduces_clean(
         vehicles in 1u32..200,
