@@ -39,7 +39,7 @@ pub enum FailDataIntegrity {
 }
 
 /// One failing signature window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FailEntry {
     /// Index of the intermediate-signature window in the test sequence —
     /// the "signature index to identify the faulty signature".
@@ -142,9 +142,8 @@ impl FailData {
     /// gets its window index flipped by a low bit pattern (diagnosis keys
     /// on window indices, so a syndrome-only flip would be invisible to
     /// the logic path) and its signature perturbed. Entries are re-sorted
-    /// by window and window-deduplicated afterwards — diagnosis requires
-    /// the observed window set sorted and duplicate-free. The identity on
-    /// a passing (empty) payload.
+    /// by window and window-deduplicated afterwards, the shape a fail
+    /// memory records. The identity on a passing (empty) payload.
     pub fn with_corrupted_window(&self, salt: u8) -> FailData {
         if self.entries.is_empty() {
             return self.clone();

@@ -15,6 +15,9 @@
 //!   (the architectural extension of \[9\]/\[10\] for diagnosis),
 //! * [`ResumableRun`] — the same session paused and resumed across a
 //!   vehicle's shut-off windows (the fleet campaign engine's hook),
+//! * [`Diagnoser`] and [`MarchTest`] — fail-data diagnosis of the logic
+//!   and the SRAM family, ranking candidate faults through one shared
+//!   Jaccard engine that treats an observation as a set of keys,
 //! * [`generate_profiles`] — the **Table I generator**: mixed-mode profiles
 //!   combining `N` pseudo-random patterns with deterministic top-off
 //!   patterns to reach a coverage target, characterised by fault coverage
@@ -41,7 +44,6 @@ mod fail;
 mod lfsr;
 mod march;
 mod misr;
-mod index;
 mod paper_data;
 mod profile;
 mod session_table;

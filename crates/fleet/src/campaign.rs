@@ -7,8 +7,8 @@
 //! the fleet and takes the horizon snapshot (DESIGN.md §10): arrivals fold
 //! into the gateway's block ledger as they come, the snapshot sorts the
 //! uploads into `(time_s, vehicle)` order, diagnoses the keys it has not
-//! cached yet, and [`fold_report`] assembles batches, latency statistics
-//! and the coverage curve. No per-vehicle outcome vector is ever
+//! cached yet, and [`fold_report`](crate::snapshot::fold_report)
+//! assembles batches, latency statistics and the coverage curve. No per-vehicle outcome vector is ever
 //! materialized — peak memory is O(detections + blocks), not O(fleet).
 //!
 //! Each vehicle's outcome is a pure function of the campaign seed and its
@@ -16,14 +16,11 @@
 //! folded arrivals, so the [`FleetReport`] is **bit-identical at any
 //! thread count**.
 
-use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::time::Instant;
 
-use eea_bist::{CutFamily, FailData, MarchTest, FAIL_ENTRY_BYTES};
-use eea_can::{Impairment, ImpairmentKind};
+use eea_bist::{CutFamily, MarchTest};
 use eea_faultsim::resolve_threads;
-use eea_model::ResourceId;
 use eea_moea::Rng;
 use eea_sched::SchedPlan;
 
@@ -31,15 +28,9 @@ use crate::blueprint::VehicleBlueprint;
 use crate::cut::CutModel;
 use crate::error::FleetError;
 use crate::gateway::{GatewayConfig, GatewayService, VehicleArrival, DEFAULT_QUEUE_CAPACITY};
-use crate::report::{
-    DefectFinding, EcuReport, FamilyReport, FleetReport, LatencyStats, RankCdfPoint,
-    RobustnessReport,
-};
+use crate::report::FleetReport;
 use crate::shutoff::ShutoffModel;
-use crate::vehicle::{simulate_vehicle, SimContext, Upload};
-
-/// Number of points of the coverage-over-time curve.
-pub(crate) const COVERAGE_POINTS: usize = 32;
+use crate::vehicle::{simulate_vehicle, SimContext};
 
 /// Configuration of a fleet campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,91 +104,6 @@ pub struct StageTimings {
     /// Pure dictionary-lookup portion of the diagnose stage: the parallel
     /// `diagnose_faults` call, excluding missing-key collection.
     pub diagnose_lookup_s: f64,
-}
-
-/// Census-side fleet counters — everything a [`FleetReport`] carries that
-/// is *not* derived from the upload sequence. The gateway folds them
-/// exactly: integer adds, plus its fixed per-block reduction tree for the
-/// one floating-point sum.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FleetTotals {
-    pub defective: u32,
-    pub sessions_completed: u64,
-    pub windows_used: u64,
-    pub bist_time_s: f64,
-    pub seeded: BTreeMap<ResourceId, u32>,
-    /// Malformed upload frames the ingest boundary rejected (typed
-    /// [`FleetError::MalformedUpload`], counted never folded). Always `0`
-    /// for a simulated fleet — only untrusted arrivals can be rejected.
-    pub rejected_uploads: u64,
-}
-
-/// The fault half of a diagnosis key in a heterogeneous fleet: fault
-/// indices are only unique *within* a CUT family's model, so every
-/// dictionary lookup is keyed by `(family, index)`. `Ord` (family first)
-/// keeps the gateway's diagnosis cache deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct FaultKey {
-    pub family: CutFamily,
-    pub index: u32,
-}
-
-impl FaultKey {
-    pub(crate) fn of(u: &Upload) -> Self {
-        FaultKey {
-            family: u.family,
-            index: u.fault_index,
-        }
-    }
-}
-
-/// The full diagnosis key: which fault, and what the channel did to its
-/// payload in transit. Two uploads of the same fault over the same
-/// impairment see the identical observed payload (the fleet shares one
-/// CUT), so diagnosis stays pure per key — the caching argument of the
-/// old fault-only key, extended by the small discrete impairment space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct DiagKey {
-    pub fault: FaultKey,
-    pub impairment: Impairment,
-}
-
-impl DiagKey {
-    pub(crate) fn of(u: &Upload) -> Self {
-        DiagKey {
-            fault: FaultKey::of(u),
-            impairment: u.impairment,
-        }
-    }
-
-    /// The same fault seen over a clean channel — the baseline the
-    /// robustness axis measures localization degradation against.
-    pub(crate) fn clean_twin(self) -> Self {
-        DiagKey {
-            fault: self.fault,
-            impairment: Impairment::NONE,
-        }
-    }
-}
-
-/// Cached diagnosis of one `(fault, impairment)` key against its family's
-/// dictionary. Pure per key (every vehicle carries the same CUT models
-/// and the impairment transform is deterministic), which is what lets the
-/// gateway cache entries across snapshots.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DiagEntry {
-    pub candidates: usize,
-    pub rank: usize,
-    pub localized: bool,
-    /// Whether the key's channel byte cap actually clipped entries off
-    /// this fault's payload (always `false` for an unimpaired key).
-    ///
-    /// On-chip fail-memory overflow of the *original* payload is NOT
-    /// cached here: it is independent of any channel impairment, and the
-    /// snapshot's `truncated_uploads` counter reads it straight from the
-    /// `CutModel`'s precomputed per-fault bitset
-    /// ([`CutModel::fault_truncated`]).
-    pub cap_truncated: bool,
 }
 
 /// A validated, ready-to-run campaign over a CUT model and a blueprint
@@ -499,367 +405,13 @@ impl Iterator for Arrivals<'_> {
 
 impl ExactSizeIterator for Arrivals<'_> {}
 
-/// Diagnoses the given distinct diagnosis keys against their family's
-/// dictionary, split over `threads` workers in disjoint contiguous ranges
-/// of the input — the gateway snapshot's diagnosis stage. Sound because
-/// the lookup is pure (the same CUT models fleet-wide: two uploads of one
-/// key see identical observed payloads), and deterministic because the
-/// output is keyed by `(fault, impairment)` — the caller merges it into
-/// a `BTreeMap`.
-pub(crate) fn diagnose_faults(
-    cut: &CutModel,
-    sram: Option<&MarchTest>,
-    distinct: &[DiagKey],
-    threads: usize,
-) -> Vec<(DiagKey, DiagEntry)> {
-    if distinct.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(distinct.len());
-    if threads == 1 {
-        return distinct
-            .iter()
-            .map(|&key| (key, diagnose_fault(cut, sram, key)))
-            .collect();
-    }
-    let chunk = distinct.len().div_ceil(threads);
-    let mut table = Vec::with_capacity(distinct.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for part in distinct.chunks(chunk) {
-            handles.push(scope.spawn(move || {
-                part.iter()
-                    .map(|&key| (key, diagnose_fault(cut, sram, key)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(entries) => table.extend(entries),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    table
-}
-
-/// The payload diagnosis actually sees for `fail` under `imp`: the
-/// original fail memory for an unimpaired key (zero-copy — the clean
-/// path is byte-for-byte the historical one), else the channel cap and
-/// content transform applied in transfer order (truncate what did not
-/// fit, then lose/corrupt one entry of what arrived).
-fn observed_payload(fail: &FailData, imp: Impairment) -> Option<FailData> {
-    if imp.is_none() {
-        return None;
-    }
-    let capped = fail.truncated_to(u64::from(imp.cap_entries) * FAIL_ENTRY_BYTES);
-    Some(match imp.kind {
-        ImpairmentKind::Intact => capped,
-        ImpairmentKind::WindowLost { slot } => capped.without_window_slot(usize::from(slot)),
-        ImpairmentKind::CorruptedSyndrome { salt } => capped.with_corrupted_window(salt),
-    })
-}
-
-fn diagnose_fault(cut: &CutModel, sram: Option<&MarchTest>, key: DiagKey) -> DiagEntry {
-    let imp = key.impairment;
-    let index = key.fault.index;
-    match key.fault.family {
-        CutFamily::Logic => {
-            let fail = cut.fail_data(index);
-            let observed = observed_payload(fail, imp);
-            let seen = observed.as_ref().unwrap_or(fail);
-            // One ranking per key: the summary carries candidate count,
-            // rank class and localization together (the historical code
-            // diagnosed the same payload three times over).
-            let s = cut.diagnose_summary(index, seen);
-            DiagEntry {
-                candidates: s.candidates,
-                rank: s.rank.unwrap_or(0),
-                localized: s.localized,
-                cap_truncated: usize::from(imp.cap_entries) < fail.entries().len(),
-            }
-        }
-        CutFamily::Sram => match sram {
-            Some(m) => {
-                let fail = m.fail_data(index);
-                let observed = observed_payload(fail, imp);
-                let seen = observed.as_ref().unwrap_or(fail);
-                let s = m.diagnose_summary(index, seen);
-                DiagEntry {
-                    candidates: s.candidates,
-                    rank: s.rank.unwrap_or(0),
-                    localized: s.localized,
-                    cap_truncated: usize::from(imp.cap_entries) < fail.entries().len(),
-                }
-            }
-            // Unreachable for a validated campaign (`MissingSramModel`
-            // gates construction); a typed zero entry, never a panic.
-            None => DiagEntry {
-                candidates: 0,
-                rank: 0,
-                localized: false,
-                cap_truncated: false,
-            },
-        },
-    }
-}
-
-/// Final serial scan over a globally ordered upload sequence:
-/// arrival-order batches, latency statistics, the coverage curve and the
-/// per-ECU aggregation. A pure function of its inputs, and the last stage
-/// of [`GatewayService::snapshot_at`] — the one place a [`FleetReport`]
-/// is built, for mid-campaign snapshots and one-shot runs alike.
-pub(crate) fn fold_report(
-    vehicles: u32,
-    batch_size: usize,
-    horizon_s: f64,
-    uploads: &[Upload],
-    totals: &FleetTotals,
-    table: &BTreeMap<DiagKey, DiagEntry>,
-) -> FleetReport {
-    // The per-family split only materializes for heterogeneous fleets:
-    // pure-logic campaigns leave `per_family` empty so the report (and
-    // its frozen `Debug` digest) is unchanged from the pre-family engine.
-    let mixed = uploads.iter().any(|u| u.family != CutFamily::Logic);
-    let mut fam_map: BTreeMap<CutFamily, FamilyAcc> = BTreeMap::new();
-    let mut findings = Vec::with_capacity(uploads.len());
-    // Robustness-axis accumulators: only impaired uploads (plus ingest
-    // rejects) populate them, so a clean campaign reports `None` and its
-    // frozen `Debug` digest is untouched.
-    let mut rob = RobustnessAcc::default();
-    for (k, up) in uploads.iter().enumerate() {
-        // The table covers every uploaded diagnosis key by construction.
-        let Some(e) = table.get(&DiagKey::of(up)) else {
-            continue;
-        };
-        rob.retransmitted_frames += u64::from(up.retransmitted_frames);
-        // Uploads are globally time-sorted, so this f64 left-fold has a
-        // fixed order at any thread/shard count.
-        rob.retransmit_overhead_s += up.retransmit_s;
-        if !up.impairment.is_none() {
-            rob.fold_impaired(up, e, table.get(&DiagKey::of(up).clean_twin()));
-        }
-        if mixed {
-            let acc = fam_map.entry(up.family).or_default();
-            acc.detected += 1;
-            acc.localized += u64::from(e.localized);
-            // Uploads are globally time-sorted, so each family's latency
-            // list collects already sorted.
-            acc.latencies.push(up.time_s);
-        }
-        findings.push(DefectFinding {
-            vehicle: up.vehicle,
-            ecu: up.ecu,
-            fault_index: up.fault_index,
-            detected_at_s: up.time_s,
-            // Checked, not `as`: the widened u64 field means no batch
-            // ordinal can wrap (the old `as u32` wrapped silently past
-            // ~4.29G ordinals), and `try_from` keeps even a hypothetical
-            // 128-bit-usize target honest by saturating.
-            batch: u64::try_from(k / batch_size).unwrap_or(u64::MAX),
-            candidates: e.candidates,
-            true_fault_rank: e.rank,
-            localized: e.localized,
-        });
-    }
-    let batches = u64::try_from(uploads.len().div_ceil(batch_size)).unwrap_or(u64::MAX);
-
-    let detected = u64::try_from(findings.len()).unwrap_or(u64::MAX);
-    let localized =
-        u64::try_from(findings.iter().filter(|f| f.localized).count()).unwrap_or(u64::MAX);
-
-    let latencies: Vec<f64> = findings.iter().map(|f| f.detected_at_s).collect();
-    let latency = LatencyStats::from_sorted(&latencies);
-
-    // Coverage over time at fixed horizon fractions; the uploads are
-    // time-sorted, so one forward scan suffices. The grid always spans
-    // the full campaign horizon — a mid-campaign snapshot reports the
-    // same grid with the not-yet-reached points at the current fraction,
-    // which is what makes `snapshot_at` monotone in t.
-    let mut coverage_over_time = Vec::with_capacity(COVERAGE_POINTS);
-    let mut seen = 0usize;
-    for p in 1..=COVERAGE_POINTS {
-        let t = horizon_s * p as f64 / COVERAGE_POINTS as f64;
-        while seen < latencies.len() && latencies[seen] <= t {
-            seen += 1;
-        }
-        let frac = if totals.defective == 0 {
-            0.0
-        } else {
-            seen as f64 / f64::from(totals.defective)
-        };
-        coverage_over_time.push((t, frac));
-    }
-
-    // Per-ECU aggregation: seeded counts come exactly merged from the
-    // census; detections fold from the findings scan.
-    let mut per_ecu_map: BTreeMap<ResourceId, EcuAcc> = BTreeMap::new();
-    for (&ecu, &seeded) in &totals.seeded {
-        per_ecu_map.entry(ecu).or_default().seeded = seeded;
-    }
-    for f in &findings {
-        let acc = per_ecu_map.entry(f.ecu).or_default();
-        acc.detected += 1;
-        acc.localized += u32::from(f.localized);
-        acc.latency_sum += f.detected_at_s;
-        *acc.fault_counts.entry(f.fault_index).or_insert(0) += 1;
-    }
-    let per_ecu = per_ecu_map
-        .into_iter()
-        .map(|(ecu, acc)| {
-            let mut top_faults: Vec<(u32, u32)> = acc.fault_counts.into_iter().collect();
-            top_faults.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            EcuReport {
-                ecu,
-                seeded: acc.seeded,
-                detected: acc.detected,
-                localized: acc.localized,
-                mean_latency_s: if acc.detected == 0 {
-                    0.0
-                } else {
-                    acc.latency_sum / f64::from(acc.detected)
-                },
-                top_faults,
-            }
-        })
-        .collect();
-
-    let per_family = fam_map
-        .into_iter()
-        .map(|(family, acc)| FamilyReport {
-            family,
-            detected: acc.detected,
-            localized: acc.localized,
-            latency: LatencyStats::from_sorted(&acc.latencies),
-        })
-        .collect();
-
-    let robustness = rob.into_report(totals.rejected_uploads);
-
-    FleetReport {
-        vehicles,
-        defective: totals.defective,
-        detected,
-        localized,
-        sessions_completed: totals.sessions_completed,
-        windows_used: totals.windows_used,
-        bist_time_s: totals.bist_time_s,
-        batches,
-        latency,
-        coverage_over_time,
-        per_ecu,
-        findings,
-        per_family,
-        robustness,
-    }
-}
-
-#[derive(Default)]
-struct FamilyAcc {
-    detected: u64,
-    localized: u64,
-    latencies: Vec<f64>,
-}
-
-/// Candidate-rank bounds of the robustness block's localization CDF —
-/// powers of two up to the "diagnosis is hopeless past here" tail.
-const RANK_CDF_BOUNDS: [usize; 6] = [1, 2, 4, 8, 16, 32];
-
-/// Accumulator behind [`RobustnessReport`]. Folded in global upload
-/// order (the one f64 sum included), so every field is bit-identical at
-/// any thread and shard count.
-#[derive(Default)]
-struct RobustnessAcc {
-    retransmitted_frames: u64,
-    retransmit_overhead_s: f64,
-    impaired_uploads: u64,
-    window_lost_uploads: u64,
-    corrupted_uploads: u64,
-    cap_truncated_uploads: u64,
-    rank_degraded: u64,
-    rank_improved: u64,
-    delocalized: u64,
-    impaired_le: [u64; RANK_CDF_BOUNDS.len()],
-    clean_le: [u64; RANK_CDF_BOUNDS.len()],
-}
-
-impl RobustnessAcc {
-    /// Folds one impaired upload, pricing its localization against the
-    /// clean-twin baseline entry.
-    fn fold_impaired(&mut self, up: &Upload, e: &DiagEntry, clean: Option<&DiagEntry>) {
-        self.impaired_uploads += 1;
-        match up.impairment.kind {
-            ImpairmentKind::Intact => {}
-            ImpairmentKind::WindowLost { .. } => self.window_lost_uploads += 1,
-            ImpairmentKind::CorruptedSyndrome { .. } => self.corrupted_uploads += 1,
-        }
-        self.cap_truncated_uploads += u64::from(e.cap_truncated);
-        // The clean twin is always in the table (the snapshot diagnoses
-        // it alongside every key); degrade to zeros if that invariant is
-        // ever broken, never panic.
-        let Some(c) = clean else { return };
-        // Rank 0 encodes "true fault not even a candidate" — strictly
-        // worse than any positive rank.
-        if c.rank > 0 && (e.rank == 0 || e.rank > c.rank) {
-            self.rank_degraded += 1;
-        }
-        if e.rank > 0 && (c.rank == 0 || e.rank < c.rank) {
-            self.rank_improved += 1;
-        }
-        if c.localized && !e.localized {
-            self.delocalized += 1;
-        }
-        for (slot, &bound) in RANK_CDF_BOUNDS.iter().enumerate() {
-            self.impaired_le[slot] += u64::from(e.rank > 0 && e.rank <= bound);
-            self.clean_le[slot] += u64::from(c.rank > 0 && c.rank <= bound);
-        }
-    }
-
-    /// The report block, or `None` when the campaign saw no channel
-    /// effects at all — a clean campaign's report (and frozen `Debug`
-    /// digest) carries no robustness axis.
-    fn into_report(self, rejected_uploads: u64) -> Option<RobustnessReport> {
-        if self.impaired_uploads == 0 && self.retransmitted_frames == 0 && rejected_uploads == 0 {
-            return None;
-        }
-        Some(RobustnessReport {
-            impaired_uploads: self.impaired_uploads,
-            retransmitted_frames: self.retransmitted_frames,
-            retransmit_overhead_s: self.retransmit_overhead_s,
-            window_lost_uploads: self.window_lost_uploads,
-            corrupted_uploads: self.corrupted_uploads,
-            cap_truncated_uploads: self.cap_truncated_uploads,
-            rejected_uploads,
-            rank_degraded: self.rank_degraded,
-            rank_improved: self.rank_improved,
-            delocalized: self.delocalized,
-            rank_cdf: RANK_CDF_BOUNDS
-                .iter()
-                .zip(self.impaired_le.iter().zip(self.clean_le.iter()))
-                .map(|(&bound, (&impaired_le, &clean_le))| RankCdfPoint {
-                    bound,
-                    impaired_le,
-                    clean_le,
-                })
-                .collect(),
-        })
-    }
-}
-
-#[derive(Default)]
-struct EcuAcc {
-    seeded: u32,
-    detected: u32,
-    localized: u32,
-    latency_sum: f64,
-    fault_counts: BTreeMap<u32, u32>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blueprint::EcuSessionPlan;
     use crate::cut::CutConfig;
+    use crate::vehicle::Upload;
+    use eea_can::ImpairmentKind;
     use eea_model::ResourceId;
 
     fn small_cut() -> CutModel {

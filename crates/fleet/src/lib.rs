@@ -73,6 +73,7 @@ mod error;
 mod gateway;
 mod report;
 mod shutoff;
+mod snapshot;
 mod vehicle;
 
 pub use blueprint::{
