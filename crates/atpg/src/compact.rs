@@ -85,7 +85,8 @@ mod tests {
         let mut u_before = eea_faultsim::FaultUniverse::collapsed(&c);
         let mut sim = eea_faultsim::FaultSim::new(&c);
         for cube in &cubes {
-            let block = eea_faultsim::PatternBlock::from_patterns(&c, &[cube.filled_with(|| false)]);
+            let block =
+                eea_faultsim::PatternBlock::from_patterns(&c, &[cube.filled_with(|| false)]);
             sim.detect_block(&block, &mut u_before);
         }
         let cov_before = u_before.coverage();

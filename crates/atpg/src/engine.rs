@@ -4,7 +4,6 @@
 use eea_faultsim::{FaultUniverse, WideFaultSim, WidePatternBlock};
 use eea_netlist::Circuit;
 
-
 use crate::cube::TestCube;
 use crate::podem::{AtpgOutcome, Podem};
 
@@ -209,7 +208,8 @@ mod tests {
             dffs: 10,
             seed: 99,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         let run = generate_tests(&c, &AtpgConfig::default());
         // Every fault is detected, proven untestable, or aborted; aborted
         // faults may additionally be detected fortuitously by later cubes,

@@ -77,8 +77,14 @@ fn scoap(circuit: &Circuit) -> (Vec<u32>, Vec<u32>) {
                 fanin.iter().map(f1).min().unwrap_or(0).saturating_add(1),
                 sum(&mut fanin.iter().map(f0)),
             ),
-            GateKind::Not => (f1(&fanin[0]).saturating_add(1), f0(&fanin[0]).saturating_add(1)),
-            GateKind::Buf => (f0(&fanin[0]).saturating_add(1), f1(&fanin[0]).saturating_add(1)),
+            GateKind::Not => (
+                f1(&fanin[0]).saturating_add(1),
+                f0(&fanin[0]).saturating_add(1),
+            ),
+            GateKind::Buf => (
+                f0(&fanin[0]).saturating_add(1),
+                f1(&fanin[0]).saturating_add(1),
+            ),
             GateKind::Xor | GateKind::Xnor => {
                 // Approximation for multi-input XOR: cheapest even/odd mix.
                 let base: u32 = fanin

@@ -12,7 +12,8 @@ fn bench_profile_generation(c: &mut Criterion) {
         dffs: 32,
         seed: 0xC07,
         ..SynthConfig::default()
-    }).expect("synthesizes");
+    })
+    .expect("synthesizes");
 
     let mut group = c.benchmark_group("bist_profile_generation");
     group.sample_size(10);

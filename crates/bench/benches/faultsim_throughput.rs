@@ -31,7 +31,8 @@ fn bench_parallel_vs_serial(c: &mut Criterion) {
         dffs: 48,
         seed: 0xFA57,
         ..SynthConfig::default()
-    }).expect("synthesizes");
+    })
+    .expect("synthesizes");
 
     let mut group = c.benchmark_group("faultsim_64_patterns");
     group.sample_size(20);
@@ -73,7 +74,8 @@ fn bench_thread_sweep(c: &mut Criterion) {
         dffs: 96,
         seed: 0xFA58,
         ..SynthConfig::default()
-    }).expect("synthesizes");
+    })
+    .expect("synthesizes");
 
     let mut group = c.benchmark_group("faultsim_thread_sweep");
     group.sample_size(10);
@@ -201,5 +203,10 @@ fn bench_c1355_forward_eval(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parallel_vs_serial, bench_thread_sweep, bench_c1355_forward_eval);
+criterion_group!(
+    benches,
+    bench_parallel_vs_serial,
+    bench_thread_sweep,
+    bench_c1355_forward_eval
+);
 criterion_main!(benches);

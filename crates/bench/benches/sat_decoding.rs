@@ -16,10 +16,7 @@ use eea_moea::{Problem, Rng};
 
 /// Naive baseline: bind every task to a uniformly random mapping option,
 /// route greedily along shortest paths, and check validity.
-fn rejection_sample(
-    diag: &eea_dse::DiagSpec,
-    rng: &mut Rng,
-) -> Option<Implementation> {
+fn rejection_sample(diag: &eea_dse::DiagSpec, rng: &mut Rng) -> Option<Implementation> {
     let spec = &diag.spec;
     let mut x = Implementation::new();
     for t in spec.application.task_ids() {

@@ -23,9 +23,7 @@ fn main() -> Result<(), EeaError> {
     let evaluations = env_usize("EEA_EVALS", 2_000);
     let seed = env_u64("EEA_SEED", 2014);
 
-    println!(
-        "memory-cost sensitivity at {evaluations} evaluations per point (seed {seed}):\n"
-    );
+    println!("memory-cost sensitivity at {evaluations} evaluations per point (seed {seed}):\n");
     println!(
         "{:>12} {:>10} {:>16} {:>12} {:>14} {:>14}",
         "ecu [/B]", "ratio", "quality@+3.7%", "extra [%]", "gw bytes", "local bytes"
@@ -60,8 +58,15 @@ fn main() -> Result<(), EeaError> {
                 .front
                 .iter()
                 .filter(|e| e.objectives.cost <= budget)
-                .max_by(|a, b| a.objectives.test_quality.total_cmp(&b.objectives.test_quality));
-            match (headline_with_budget(&res.front, Some(base), 1.037), best_in_budget) {
+                .max_by(|a, b| {
+                    a.objectives
+                        .test_quality
+                        .total_cmp(&b.objectives.test_quality)
+                });
+            match (
+                headline_with_budget(&res.front, Some(base), 1.037),
+                best_in_budget,
+            ) {
                 (Some(hl), Some(best)) => {
                     println!(
                         "{:>12.0e} {:>10.0} {:>15.1}% {:>12.2} {:>14} {:>14}",

@@ -23,7 +23,10 @@ fn main() -> Result<(), EeaError> {
         seed: 0xC07,
         ..SynthConfig::default()
     })?;
-    println!("substitute CUT: {} (paper: 371,900 collapsed faults, 100 chains x <=77, 40 MHz)", cut.stats());
+    println!(
+        "substitute CUT: {} (paper: 371,900 collapsed faults, 100 chains x <=77, 40 MHz)",
+        cut.stats()
+    );
 
     let mut prp_counts = vec![256u64, 512, 1_024, 4_096];
     let mut next = 16_384u64;

@@ -105,8 +105,7 @@ mod tests {
         // Within the "max coverage" class (rows 1, 5, 9, ... of each PRP
         // group) runtime must increase with the pattern count.
         let p = paper_table1();
-        let max_class: Vec<&BistProfile> =
-            p.iter().step_by(4).collect();
+        let max_class: Vec<&BistProfile> = p.iter().step_by(4).collect();
         for w in max_class.windows(2) {
             assert!(w[1].runtime_ms > w[0].runtime_ms);
         }

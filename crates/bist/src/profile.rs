@@ -261,8 +261,8 @@ pub fn generate_profiles(
             let total_patterns = prps + det;
             let shift_s = chains.test_time_s(total_patterns, cfg.shift_frequency_hz);
             let runtime_ms = shift_s * 1e3 + cfg.restore_ms;
-            let det_bytes = ((run.specified_care_bits as f64 * cfg.bits_per_care_bit / 8.0)
-                .ceil() as u64)
+            let det_bytes = ((run.specified_care_bits as f64 * cfg.bits_per_care_bit / 8.0).ceil()
+                as u64)
                 + det * cfg.pattern_header_bytes;
             let response_bytes =
                 cfg.signature_windows.min(total_patterns.max(1)) * cfg.signature_bytes;
@@ -292,7 +292,8 @@ mod tests {
             dffs: 32,
             seed: 0xC07,
             ..SynthConfig::default()
-        }).expect("synthesizes")
+        })
+        .expect("synthesizes")
     }
 
     fn quick_cfg() -> ProfileConfig {
@@ -355,9 +356,10 @@ mod tests {
         let profiles = generate_profiles(&c, &cfg).expect("valid config");
         let chains = ScanChains::balanced(&c, cfg.num_chains).expect("at least one chain");
         for p in &profiles {
-            let expected = chains
-                .test_time_s(p.random_patterns + p.deterministic_patterns, cfg.shift_frequency_hz)
-                * 1e3
+            let expected = chains.test_time_s(
+                p.random_patterns + p.deterministic_patterns,
+                cfg.shift_frequency_hz,
+            ) * 1e3
                 + cfg.restore_ms;
             assert!((p.runtime_ms - expected).abs() < 1e-9);
         }

@@ -342,12 +342,7 @@ fn golden_pass(
 /// One worker's share of the sweep: blocks outer (the good machine is
 /// simulated once per block and shared by every fault of the chunk),
 /// faults inner (one event-driven cone walk per fault per block).
-fn sweep_chunk(
-    circuit: &Circuit,
-    faults: &[Fault],
-    golden: &GoldenPass,
-    window: u64,
-) -> SweepRows {
+fn sweep_chunk(circuit: &Circuit, faults: &[Fault], golden: &GoldenPass, window: u64) -> SweepRows {
     let mut sim = FaultSim::new(circuit);
     // Detected global pattern indices per fault, ascending (blocks are
     // walked in order and `iter_ones` ascends).

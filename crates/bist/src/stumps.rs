@@ -284,9 +284,7 @@ impl<'s, 'c> ResumableRun<'s, 'c> {
         let mut applied = 0u64;
         while applied < todo {
             let count = ((todo - applied).min(PatternBlock::CAPACITY as u64)) as usize;
-            let block = self
-                .session
-                .next_block(&mut self.lfsr, count);
+            let block = self.session.next_block(&mut self.lfsr, count);
             self.fsim.run_good(&block);
             let detect = match self.fault {
                 Some(fault) => self.fsim.detect_mask(fault, &block, false),
@@ -405,7 +403,8 @@ mod tests {
             dffs: 16,
             seed: 3,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         let chains = ScanChains::balanced(&c, 4).expect("at least one chain");
         (c, chains)
     }

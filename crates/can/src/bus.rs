@@ -209,8 +209,7 @@ mod tests {
         let sim = BusSim::new(BUS_BITRATE_BPS).expect("positive bitrate");
         let res = sim.run(&msgs, 1_000_000).expect("unique ids");
         for (m, s) in msgs.iter().zip(&res.stats) {
-            let bound = response_time(m, &msgs, BUS_BITRATE_BPS)
-                .expect("schedulable set");
+            let bound = response_time(m, &msgs, BUS_BITRATE_BPS).expect("schedulable set");
             assert!(
                 s.max_response_us <= bound,
                 "{}: simulated {} > bound {}",
@@ -244,10 +243,7 @@ mod tests {
     fn duplicate_ids_rejected() {
         let msgs = [msg(1, 8, 1_000), msg(1, 4, 2_000)];
         let sim = BusSim::new(BUS_BITRATE_BPS).expect("positive bitrate");
-        assert_eq!(
-            sim.run(&msgs, 10_000),
-            Err(BusSimError::DuplicateId(id(1)))
-        );
+        assert_eq!(sim.run(&msgs, 10_000), Err(BusSimError::DuplicateId(id(1))));
     }
 
     #[test]

@@ -158,8 +158,7 @@ mod tests {
         let fd = FdConfig::default();
         // 64 bytes FD vs 8 x 8-byte classic frames at 500 kbit/s.
         let fd_time = fd.frame_time_us(64).unwrap();
-        let classic_time =
-            8 * (u64::from(frame_bits(8).unwrap()) * 1_000_000).div_ceil(500_000);
+        let classic_time = 8 * (u64::from(frame_bits(8).unwrap()) * 1_000_000).div_ceil(500_000);
         assert!(
             fd_time < classic_time / 2,
             "FD {fd_time}us vs classic {classic_time}us"

@@ -72,7 +72,11 @@ pub struct InvalidPayloadError(pub u8);
 
 impl fmt::Display for InvalidPayloadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "payload of {} bytes exceeds the CAN 2.0 limit of 8", self.0)
+        write!(
+            f,
+            "payload of {} bytes exceeds the CAN 2.0 limit of 8",
+            self.0
+        )
     }
 }
 

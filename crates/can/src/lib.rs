@@ -48,7 +48,10 @@
 
 // Library targets are panic-free by policy (see DESIGN.md, "Error
 // taxonomy"): unwrap/expect/panic! are denied outside test code.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod bus;
 pub mod channel;

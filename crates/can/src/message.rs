@@ -136,11 +136,7 @@ impl Message {
 
 impl fmt::Display for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} {}B @{}us",
-            self.id, self.payload, self.period_us
-        )
+        write!(f, "{} {}B @{}us", self.id, self.payload, self.period_us)
     }
 }
 

@@ -64,7 +64,10 @@ impl fmt::Display for MirrorError {
                 write!(f, "no free identifier in the priority gap of {id}")
             }
             MirrorError::NoMessages => {
-                write!(f, "ECU has no functional messages whose schedule could be mirrored")
+                write!(
+                    f,
+                    "ECU has no functional messages whose schedule could be mirrored"
+                )
             }
         }
     }
@@ -314,7 +317,11 @@ mod tests {
     #[test]
     fn auto_mirror_dense_functional_block() {
         // Adjacent functional ids share the tail of the gap.
-        let funcs = [msg(0x100, 1, 10_000), msg(0x101, 2, 10_000), msg(0x102, 3, 10_000)];
+        let funcs = [
+            msg(0x100, 1, 10_000),
+            msg(0x101, 2, 10_000),
+            msg(0x102, 3, 10_000),
+        ];
         let mirrored = mirror_messages_auto(&funcs, &[]).unwrap();
         let ids: Vec<u16> = mirrored.iter().map(|m| m.id().value()).collect();
         assert_eq!(ids, vec![0x103, 0x104, 0x105]);
@@ -360,7 +367,8 @@ mod tests {
             let b = base.by_id(o.id()).unwrap();
             let t = test.by_id(o.id()).unwrap();
             assert_eq!(
-                b.max_response_us, t.max_response_us,
+                b.max_response_us,
+                t.max_response_us,
                 "latency of {} changed under mirroring",
                 o.id()
             );

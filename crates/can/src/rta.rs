@@ -104,10 +104,7 @@ pub fn response_time(target: &Message, all: &[Message], bitrate_bps: u64) -> Res
         .map(|m| m.tx_time_us(bitrate_bps))
         .max()
         .unwrap_or(0);
-    let hp: Vec<&Message> = all
-        .iter()
-        .filter(|m| m.id().beats(target.id()))
-        .collect();
+    let hp: Vec<&Message> = all.iter().filter(|m| m.id().beats(target.id())).collect();
 
     // Divergence check: the recurrence w = B + Σ_{hp} ⌈…⌉·C_k has a finite
     // fixpoint iff the higher-priority set's utilisation is below 1 (each

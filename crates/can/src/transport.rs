@@ -44,8 +44,11 @@ pub enum TransportKind {
 
 impl TransportKind {
     /// All transports, in canonical (classic → FD → FlexRay) order.
-    pub const ALL: [TransportKind; 3] =
-        [TransportKind::MirroredCan, TransportKind::CanFd, TransportKind::FlexRay];
+    pub const ALL: [TransportKind; 3] = [
+        TransportKind::MirroredCan,
+        TransportKind::CanFd,
+        TransportKind::FlexRay,
+    ];
 
     /// Stable lowercase label used in artifact files (CSV/JSON) and logs.
     pub fn label(self) -> &'static str {
@@ -92,7 +95,10 @@ impl fmt::Display for TransportError {
                 write!(f, "bus configuration grants zero bandwidth")
             }
             TransportError::InvalidMultiplier(m) => {
-                write!(f, "CAN FD payload multiplier must be positive and finite, got {m}")
+                write!(
+                    f,
+                    "CAN FD payload multiplier must be positive and finite, got {m}"
+                )
             }
             TransportError::FlexRay(e) => e.fmt(f),
         }

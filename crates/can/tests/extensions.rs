@@ -49,8 +49,8 @@ fn fd_upgrade_multiplies_mirrored_eq1_bandwidth() {
 
     // Per-message speed-up matches the Eq. (1) speed-up helper.
     for m in &mirror {
-        let per_msg = fd.payload_bandwidth_bytes_per_s(64, m.period_us())
-            / m.payload_bandwidth_bytes_per_s();
+        let per_msg =
+            fd.payload_bandwidth_bytes_per_s(64, m.period_us()) / m.payload_bandwidth_bytes_per_s();
         assert!((per_msg - fd.eq1_speedup(m.payload(), 64)).abs() < 1e-9);
     }
 }

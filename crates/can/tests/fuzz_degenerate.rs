@@ -5,8 +5,8 @@
 //! "Error taxonomy").
 
 use eea_can::{
-    analyze, mirror_messages, mirror_messages_auto, response_time, transfer_time_s, CanId,
-    Message, MirrorError, BUS_BITRATE_BPS,
+    analyze, mirror_messages, mirror_messages_auto, response_time, transfer_time_s, CanId, Message,
+    MirrorError, BUS_BITRATE_BPS,
 };
 use proptest::prelude::*;
 

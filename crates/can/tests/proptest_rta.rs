@@ -9,11 +9,7 @@ use proptest::prelude::*;
 struct Sched(Vec<Message>);
 
 fn schedule_strategy(max_msgs: usize) -> impl Strategy<Value = Sched> {
-    proptest::collection::vec(
-        (0u16..0x180, 1u8..=8, 0usize..4),
-        1..=max_msgs,
-    )
-    .prop_map(|raw| {
+    proptest::collection::vec((0u16..0x180, 1u8..=8, 0usize..4), 1..=max_msgs).prop_map(|raw| {
         let periods = [10_000u64, 20_000, 50_000, 100_000];
         let mut used = std::collections::BTreeSet::new();
         let msgs = raw

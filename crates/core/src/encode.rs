@@ -191,8 +191,7 @@ pub fn encode(diag: &DiagSpec) -> Encoding {
 
     // Routing constraints per message.
     let mut c_vars: Vec<BTreeMap<ResourceId, Var>> = Vec::with_capacity(app.num_messages());
-    let mut ct_vars: Vec<BTreeMap<(ResourceId, u32), Var>> =
-        Vec::with_capacity(app.num_messages());
+    let mut ct_vars: Vec<BTreeMap<(ResourceId, u32), Var>> = Vec::with_capacity(app.num_messages());
     for m in app.message_ids() {
         let msg = app.message(m);
         let sender_opts: Vec<ResourceId> =

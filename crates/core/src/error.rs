@@ -205,10 +205,7 @@ mod tests {
         let e: EeaError = eea_can::RtaError::DeadlineExceeded.into();
         assert!(matches!(e, EeaError::Can(_)));
         let e: EeaError = eea_can::TransportError::ZeroBandwidth.into();
-        assert!(matches!(
-            e,
-            EeaError::Can(eea_can::CanError::Transport(_))
-        ));
+        assert!(matches!(e, EeaError::Can(eea_can::CanError::Transport(_))));
     }
 
     #[test]

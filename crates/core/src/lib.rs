@@ -1,6 +1,9 @@
 // Library targets are panic-free by policy (see DESIGN.md, "Error
 // taxonomy"): unwrap/expect/panic! are denied outside test code.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 //! # eea-dse — diagnosis-aware design space exploration
 //!
@@ -53,20 +56,18 @@ pub mod report;
 pub mod schedule;
 
 pub use augment::{augment, AugmentError, BistOption, DiagSpec};
-pub use error::EeaError;
 pub use encode::{encode, Encoding};
+pub use error::EeaError;
 pub use explore::{
     baseline_cost, explore, resolve_threads, DseConfig, DseProblem, DseResult,
     ExploredImplementation, EVAL_LANES,
 };
-pub use objectives::{
-    evaluate, evaluate_with_transport, MemorySummary, Objectives, MAX_SHUTOFF_S,
-};
+pub use objectives::{evaluate, evaluate_with_transport, MemorySummary, Objectives, MAX_SHUTOFF_S};
 // The transport axis is part of this crate's public configuration surface
 // (`DseConfig::transport`); re-exported so binaries need not name `eea_can`.
 pub use eea_can::{Transport, TransportConfig, TransportError, TransportKind};
-pub use schedule::{check_schedulability, derive_bus_schedules, BusSchedule, ScheduleError};
 pub use report::{
     fig5_ascii, fig5_csv, fig5_points, fig6_csv, fig6_rows, headline, headline_with_budget,
     partial_networking_candidates, Fig5Point, Fig6Row, Headline, SHUTOFF_MARKER_SPLIT_S,
 };
+pub use schedule::{check_schedulability, derive_bus_schedules, BusSchedule, ScheduleError};

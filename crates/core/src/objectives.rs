@@ -105,11 +105,7 @@ pub fn evaluate_with_transport(
     let app = &spec.application;
 
     // ---- Monetary cost: allocated hardware.
-    let mut cost: f64 = x
-        .allocation
-        .iter()
-        .map(|&r| arch.resource(r).cost)
-        .sum();
+    let mut cost: f64 = x.allocation.iter().map(|&r| arch.resource(r).cost).sum();
 
     // Functional messages sent per ECU (for Eq. (1) mirrored bandwidth).
     let mut sent_by: BTreeMap<ResourceId, Vec<Message>> = BTreeMap::new();
@@ -170,9 +166,7 @@ pub fn evaluate_with_transport(
             continue;
         };
         let local = data_at == o.ecu;
-        memory
-            .selected
-            .push((o.ecu, o.profile.id, local));
+        memory.selected.push((o.ecu, o.profile.id, local));
         quality_sum += o.profile.coverage;
 
         let l_s = o.profile.runtime_ms / 1e3;
@@ -228,9 +222,7 @@ pub fn evaluate_with_transport(
 /// Convenience check used by tests and reports: whether an implementation
 /// selects any BIST session at all.
 pub fn has_diagnosis(diag: &DiagSpec, x: &Implementation) -> bool {
-    diag.options
-        .iter()
-        .any(|o| x.binding_of(o.test).is_some())
+    diag.options.iter().any(|o| x.binding_of(o.test).is_some())
 }
 
 /// The functional-only baseline cost: allocated hardware of an
@@ -281,7 +273,8 @@ mod tests {
         for o in &diag.options {
             let (_, v) = enc.m_vars[o.test.index()][0];
             enc.solver.set_polarity(v, select_bist);
-            enc.solver.set_priority(v, if select_bist { 1.0 } else { 0.0 });
+            enc.solver
+                .set_priority(v, if select_bist { 1.0 } else { 0.0 });
         }
         assert_eq!(enc.solver.solve(), SolveResult::Sat);
         let x = enc.extract(&diag.spec);
@@ -331,7 +324,11 @@ mod tests {
         // gateway stores one copy.
         let (diag, x) = decoded(1, true);
         let (_, mem) = evaluate(&diag, &x);
-        let remote: Vec<_> = mem.selected.iter().filter(|&&(_, _, local)| !local).collect();
+        let remote: Vec<_> = mem
+            .selected
+            .iter()
+            .filter(|&&(_, _, local)| !local)
+            .collect();
         if remote.len() >= 2 {
             // One distinct profile -> one gateway copy.
             assert_eq!(mem.gateway_bytes, diag.options[0].profile.data_bytes);

@@ -63,7 +63,11 @@ pub fn fig6_rows(front: &[ExploredImplementation], k: usize) -> Vec<Fig6Row> {
         .iter()
         .filter(|e| e.objectives.test_quality > 0.0)
         .collect();
-    by_quality.sort_by(|a, b| a.objectives.test_quality.total_cmp(&b.objectives.test_quality));
+    by_quality.sort_by(|a, b| {
+        a.objectives
+            .test_quality
+            .total_cmp(&b.objectives.test_quality)
+    });
     if by_quality.is_empty() {
         return Vec::new();
     }
@@ -106,10 +110,7 @@ pub struct Headline {
 /// `baseline_cost` is the cheapest diagnosis-free design (obtain it from a
 /// dedicated baseline exploration, or pass `None` to look for a
 /// zero-quality design inside the front).
-pub fn headline(
-    front: &[ExploredImplementation],
-    baseline_cost: Option<f64>,
-) -> Option<Headline> {
+pub fn headline(front: &[ExploredImplementation], baseline_cost: Option<f64>) -> Option<Headline> {
     headline_with_budget(front, baseline_cost, 1.037)
 }
 
@@ -135,7 +136,11 @@ pub fn headline_with_budget(
     let best = front
         .iter()
         .filter(|e| e.objectives.cost <= budget)
-        .max_by(|a, b| a.objectives.test_quality.total_cmp(&b.objectives.test_quality))?;
+        .max_by(|a, b| {
+            a.objectives
+                .test_quality
+                .total_cmp(&b.objectives.test_quality)
+        })?;
     Some(Headline {
         front_size: front.len(),
         baseline_cost,
@@ -160,7 +165,11 @@ pub fn partial_networking_candidates(
         .iter()
         .filter(|e| e.objectives.shutoff_s <= max_shutoff_s && e.objectives.test_quality > 0.0)
         .collect();
-    out.sort_by(|a, b| b.objectives.test_quality.total_cmp(&a.objectives.test_quality));
+    out.sort_by(|a, b| {
+        b.objectives
+            .test_quality
+            .total_cmp(&a.objectives.test_quality)
+    });
     out
 }
 
@@ -180,8 +189,7 @@ pub fn fig5_csv(points: &[Fig5Point]) -> String {
 
 /// Renders Fig. 6 data as CSV.
 pub fn fig6_csv(rows: &[Fig6Row]) -> String {
-    let mut out =
-        String::from("impl,gateway_bytes,distributed_bytes,shutoff_s,quality_pct,cost\n");
+    let mut out = String::from("impl,gateway_bytes,distributed_bytes,shutoff_s,quality_pct,cost\n");
     for r in rows {
         let _ = writeln!(
             out,

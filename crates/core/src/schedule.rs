@@ -170,8 +170,7 @@ mod tests {
     #[test]
     fn case_study_schedules_certify() {
         let (diag, x) = decoded();
-        let schedules =
-            check_schedulability(&diag, &x, BUS_BITRATE_BPS).expect("schedulable");
+        let schedules = check_schedulability(&diag, &x, BUS_BITRATE_BPS).expect("schedulable");
         assert!(!schedules.is_empty());
         // Low utilisation: a handful of small periodic messages per bus.
         for s in &schedules {
@@ -233,10 +232,7 @@ mod tests {
             let (Some(src), Some(route)) = (x.binding_of(msg.sender), x.routing.get(&m)) else {
                 continue;
             };
-            let all_local = msg
-                .receivers
-                .iter()
-                .all(|t| x.binding_of(*t) == Some(src));
+            let all_local = msg.receivers.iter().all(|t| x.binding_of(*t) == Some(src));
             if all_local && route.len() == 1 {
                 assert!(!on_buses.contains(&m), "local message {m} on a bus");
             }

@@ -163,7 +163,10 @@ pub fn collapse(circuit: &Circuit) -> CollapseReport {
         .filter_map(|members| {
             // Every class holds at least the fault that created it; `min`
             // over an empty class (impossible) simply yields no entry.
-            let rep = members.iter().map(|&i| all.get(i as usize).copied()).min()??;
+            let rep = members
+                .iter()
+                .map(|&i| all.get(i as usize).copied())
+                .min()??;
             Some((rep, members.len() as u32))
         })
         .collect();
@@ -189,10 +192,7 @@ mod tests {
         let rep = collapse(&c);
         assert_eq!(rep.total, 34);
         assert_eq!(rep.representatives.len(), 22);
-        assert_eq!(
-            rep.class_sizes.iter().sum::<u32>() as usize,
-            rep.total
-        );
+        assert_eq!(rep.class_sizes.iter().sum::<u32>() as usize, rep.total);
     }
 
     #[test]

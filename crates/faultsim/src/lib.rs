@@ -1,6 +1,9 @@
 // Library targets are panic-free by policy (see DESIGN.md, "Error
 // taxonomy"): unwrap/expect/panic! are denied outside test code.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 //! Single stuck-at fault model and bit-parallel fault simulation.
 //!
@@ -63,9 +66,7 @@ pub use collapsing::{collapse, CollapseReport};
 pub use fault::{enumerate_faults, Fault, FaultSite};
 pub use par::{resolve_threads, ParFaultSim, WideParFaultSim};
 pub use ppsfp::{FaultSim, WideFaultSim};
-pub use sim::{
-    GoodSim, PatternBlock, Response, WideGoodSim, WidePatternBlock, WideResponse,
-};
+pub use sim::{GoodSim, PatternBlock, Response, WideGoodSim, WidePatternBlock, WideResponse};
 pub use transition::{
     enumerate_transition_faults, launch_on_capture, transition_coverage, TransitionFault,
     TransitionKind, TransitionSim, WideTransitionSim,

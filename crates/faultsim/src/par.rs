@@ -203,7 +203,8 @@ mod tests {
             dffs: 10,
             seed: 99,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         let mut rng = 0xDEAD_BEEF_1234_5678u64;
         let mut next = move || {
             rng ^= rng << 13;

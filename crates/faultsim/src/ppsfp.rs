@@ -125,13 +125,14 @@ impl<'c, const L: usize> WideFaultSim<'c, L> {
                 // Re-evaluate the receiving gate with the pin forced —
                 // values fold straight off the fanin walk, no gather
                 // buffer (see `eval_iter`).
-                c.kind(gate).eval_iter(c.fanin(gate).iter().enumerate().map(|(i, &f)| {
-                    if i == pin as usize {
-                        forced
-                    } else {
-                        self.good.value(f)
-                    }
-                }))
+                c.kind(gate)
+                    .eval_iter(c.fanin(gate).iter().enumerate().map(|(i, &f)| {
+                        if i == pin as usize {
+                            forced
+                        } else {
+                            self.good.value(f)
+                        }
+                    }))
             }
         };
 
@@ -377,7 +378,8 @@ mod tests {
             dffs: 8,
             seed: 77,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         let mut sim = FaultSim::new(&c);
         let mut u = FaultUniverse::collapsed(&c);
         let mut rng = 0x1234_5678_9abc_def0u64;
@@ -408,7 +410,8 @@ mod tests {
             dffs: 8,
             seed: 77,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         let mut sim = FaultSim::new(&c);
         let mut u = FaultUniverse::collapsed(&c);
         let mut rng = 0x1234_5678_9abc_def0u64;

@@ -304,8 +304,7 @@ mod tests {
         // Inputs in declaration order: 1, 2, 3, 6, 7.
         // Pattern 00000 -> 10=1, 11=1, 16=1, 19=1, 22=NAND(1,1)=0, 23=0.
         // Pattern 11111 -> 10=0, 11=0, 16=1, 19=1, 22=1, 23=0.
-        let block =
-            PatternBlock::from_patterns(&c, &[vec![false; 5], vec![true; 5]]);
+        let block = PatternBlock::from_patterns(&c, &[vec![false; 5], vec![true; 5]]);
         let mut sim = GoodSim::new(&c);
         sim.run(&block);
         let r = sim.response(&block);
@@ -337,7 +336,10 @@ mod tests {
         assert!(PatternBlock::exhaustive(&wide(10)).is_none());
         assert!(WidePatternBlock::<1>::exhaustive(&wide(7)).is_none());
         // 7 sources fit the default width: 128 patterns.
-        assert_eq!(PatternBlock::exhaustive(&wide(7)).map(|b| b.len()), Some(128));
+        assert_eq!(
+            PatternBlock::exhaustive(&wide(7)).map(|b| b.len()),
+            Some(128)
+        );
     }
 
     #[test]

@@ -134,11 +134,7 @@ impl<'c, const L: usize> WideTransitionSim<'c, L> {
     ///
     /// Must be called after [`load`](Self::load); `v2` must be the block
     /// returned by it.
-    pub fn detect_mask(
-        &mut self,
-        fault: TransitionFault,
-        v2: &WidePatternBlock<L>,
-    ) -> BitBlock<L> {
+    pub fn detect_mask(&mut self, fault: TransitionFault, v2: &WidePatternBlock<L>) -> BitBlock<L> {
         // Site value under v1 and v2 (the good machines).
         let driver = match fault.site {
             FaultSite::Stem(g) => g,
@@ -255,7 +251,8 @@ mod tests {
             dffs: 16,
             seed: 0x7DF,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         let mut rng = 0x7DF7_DF7D_F7DFu64;
         let blocks: Vec<PatternBlock> = (0..8)
             .map(|_| {
@@ -288,7 +285,8 @@ mod tests {
             dffs: 8,
             seed: 3,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         let mut sim = TransitionSim::new(&c);
         let mut rng = 99u64;
         let mut v1 = PatternBlock::zeroed(&c, PatternBlock::CAPACITY);

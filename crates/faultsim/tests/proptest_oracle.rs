@@ -5,8 +5,8 @@
 //! with and without early exit, including partially-filled final blocks.
 
 use eea_faultsim::{
-    BitBlock, Fault, FaultSim, FaultUniverse, ParFaultSim, PatternBlock, WideFaultSim,
-    WideGoodSim, WidePatternBlock,
+    BitBlock, Fault, FaultSim, FaultUniverse, ParFaultSim, PatternBlock, WideFaultSim, WideGoodSim,
+    WidePatternBlock,
 };
 use eea_netlist::{synthesize, Circuit, SynthConfig};
 use proptest::prelude::*;

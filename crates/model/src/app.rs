@@ -107,7 +107,10 @@ impl Application {
         size_bytes: u64,
         period_us: u64,
     ) -> MessageId {
-        assert!(!receivers.is_empty(), "a message needs at least one receiver");
+        assert!(
+            !receivers.is_empty(),
+            "a message needs at least one receiver"
+        );
         assert!(sender.index() < self.tasks.len(), "unknown sender {sender}");
         for r in receivers {
             assert!(r.index() < self.tasks.len(), "unknown receiver {r}");

@@ -290,7 +290,9 @@ pub fn build_case_study(cfg: &CaseStudyConfig) -> CaseStudy {
         let post0 = ctx.proc_task("a2_post0", ecus);
         let post1 = ctx.proc_task("a2_post1", ecus);
         let act = ctx.fixed_task("a2_act0", acts[0]);
-        app_tasks.push(vec![s0, s1, s2, pre0, pre1, fus, ctl0, ctl1, post0, post1, act]);
+        app_tasks.push(vec![
+            s0, s1, s2, pre0, pre1, fus, ctl0, ctl1, post0, post1, act,
+        ]);
         app.add_message("a2_m0", s0, &[pre0], 2, 20_000);
         app.add_message("a2_m1", s1, &[pre0], 2, 20_000);
         app.add_message("a2_m2", s2, &[pre1], 4, 50_000);
@@ -451,13 +453,7 @@ mod tests {
             ..CaseStudyConfig::default()
         };
         let cs = build_case_study(&cfg);
-        assert_eq!(
-            cs.spec
-                .architecture
-                .of_kind(ResourceKind::Ecu)
-                .count(),
-            6
-        );
+        assert_eq!(cs.spec.architecture.of_kind(ResourceKind::Ecu).count(), 6);
         assert_eq!(cs.spec.application.num_tasks(), 45);
     }
 }

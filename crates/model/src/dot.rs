@@ -98,10 +98,7 @@ pub fn implementation_dot(spec: &Specification, x: &Implementation) -> String {
             continue;
         }
         let res = arch.resource(r);
-        let tasks: Vec<String> = x
-            .tasks_on(r)
-            .map(|t| sanitize(&app.task(t).name))
-            .collect();
+        let tasks: Vec<String> = x.tasks_on(r).map(|t| sanitize(&app.task(t).name)).collect();
         let _ = writeln!(
             out,
             "  {} [label=\"{}\\n{}\",{}];",

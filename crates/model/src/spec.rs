@@ -83,7 +83,10 @@ impl Specification {
     ///
     /// Panics if ids are out of range or the option already exists.
     pub fn add_mapping(&mut self, task: TaskId, resource: ResourceId) {
-        assert!(task.index() < self.application.num_tasks(), "unknown {task}");
+        assert!(
+            task.index() < self.application.num_tasks(),
+            "unknown {task}"
+        );
         assert!(
             resource.index() < self.architecture.num_resources(),
             "unknown {resource}"
@@ -91,7 +94,8 @@ impl Specification {
         // The application graph is a public field and may have grown since
         // construction; keep the mapping table in sync.
         if self.mappings.len() < self.application.num_tasks() {
-            self.mappings.resize(self.application.num_tasks(), Vec::new());
+            self.mappings
+                .resize(self.application.num_tasks(), Vec::new());
         }
         let opts = &mut self.mappings[task.index()];
         assert!(
@@ -175,8 +179,7 @@ impl Specification {
                 return Err(ValidateError::BrokenRoute(m));
             }
             let mut reach: Vec<ResourceId> = vec![src];
-            let mut seen: std::collections::BTreeSet<ResourceId> =
-                std::iter::once(src).collect();
+            let mut seen: std::collections::BTreeSet<ResourceId> = std::iter::once(src).collect();
             while let Some(r) = reach.pop() {
                 for &n in self.architecture.neighbors(r) {
                     if route.contains(&n) && seen.insert(n) {
@@ -184,7 +187,12 @@ impl Specification {
                     }
                 }
             }
-            if seen.len() != route.iter().collect::<std::collections::BTreeSet<_>>().len() {
+            if seen.len()
+                != route
+                    .iter()
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .len()
+            {
                 return Err(ValidateError::BrokenRoute(m));
             }
             for rec in &msg.receivers {
@@ -260,7 +268,15 @@ mod tests {
     use crate::app::TaskKind;
     use crate::arch::{resource, ResourceKind};
 
-    fn spec() -> (Specification, TaskId, TaskId, MessageId, ResourceId, ResourceId, ResourceId) {
+    fn spec() -> (
+        Specification,
+        TaskId,
+        TaskId,
+        MessageId,
+        ResourceId,
+        ResourceId,
+        ResourceId,
+    ) {
         let mut app = Application::new();
         let s = app.add_task("send", TaskKind::Functional);
         let t = app.add_task("recv", TaskKind::Functional);
@@ -349,10 +365,7 @@ mod tests {
             .next()
             .unwrap();
         spec.add_mapping(s, bus);
-        assert!(matches!(
-            spec.validate(),
-            Err(ValidateError::MapToBus(..))
-        ));
+        assert!(matches!(spec.validate(), Err(ValidateError::MapToBus(..))));
     }
 
     #[test]

@@ -58,10 +58,7 @@ mod tests {
     fn relations() {
         assert_eq!(relation(&[0.0], &[1.0]), Relation::Dominates);
         assert_eq!(relation(&[1.0], &[0.0]), Relation::DominatedBy);
-        assert_eq!(
-            relation(&[0.0, 1.0], &[1.0, 0.0]),
-            Relation::Incomparable
-        );
+        assert_eq!(relation(&[0.0, 1.0], &[1.0, 0.0]), Relation::Incomparable);
         assert_eq!(relation(&[1.0], &[1.0]), Relation::Incomparable);
     }
 }

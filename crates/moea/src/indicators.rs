@@ -41,10 +41,7 @@ fn hv_recursive(points: &mut [Vec<f64>], reference: &[f64]) -> f64 {
         return 0.0;
     }
     if m == 1 {
-        let best = points
-            .iter()
-            .map(|p| p[0])
-            .fold(f64::INFINITY, f64::min);
+        let best = points.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min);
         return reference[0] - best;
     }
     // Slice along the last objective.
@@ -61,10 +58,8 @@ fn hv_recursive(points: &mut [Vec<f64>], reference: &[f64]) -> f64 {
         let depth = next_z - z;
         if depth > 0.0 {
             // Project all points with last coordinate <= z.
-            let mut projected: Vec<Vec<f64>> = points[..=i]
-                .iter()
-                .map(|p| p[..m - 1].to_vec())
-                .collect();
+            let mut projected: Vec<Vec<f64>> =
+                points[..=i].iter().map(|p| p[..m - 1].to_vec()).collect();
             // Filter dominated projections.
             let mut kept: Vec<Vec<f64>> = Vec::new();
             for p in projected.drain(..) {

@@ -118,7 +118,9 @@ pub fn non_dominated_ranks(objectives: &[Vec<f64>]) -> Vec<u32> {
         }
     }
     let mut rank = vec![0u32; n];
-    let mut current: Vec<u32> = (0..n as u32).filter(|&i| dominated_by[i as usize] == 0).collect();
+    let mut current: Vec<u32> = (0..n as u32)
+        .filter(|&i| dominated_by[i as usize] == 0)
+        .collect();
     let mut level = 0;
     while !current.is_empty() {
         let mut next = Vec::new();
@@ -328,8 +330,7 @@ pub fn run<P: Problem>(
     }
 
     while evaluations < cfg.evaluations {
-        let objectives: Vec<Vec<f64>> =
-            population.iter().map(|i| i.objectives.clone()).collect();
+        let objectives: Vec<Vec<f64>> = population.iter().map(|i| i.objectives.clone()).collect();
         let ranks = non_dominated_ranks(&objectives);
         let crowding = crowding_distances(&objectives, &ranks);
 
@@ -339,8 +340,7 @@ pub fn run<P: Problem>(
         // independent of how `evaluate_batch` schedules its work.
         let mut offspring: Vec<Individual> = Vec::with_capacity(cfg.population);
         while offspring.len() < cfg.population && evaluations < cfg.evaluations {
-            let need =
-                (cfg.population - offspring.len()).min(cfg.evaluations - evaluations);
+            let need = (cfg.population - offspring.len()).min(cfg.evaluations - evaluations);
             let mut batch: Vec<Vec<f64>> = Vec::with_capacity(need);
             while batch.len() < need {
                 let a = tournament(&mut rng, &ranks, &crowding);
@@ -370,12 +370,15 @@ pub fn run<P: Problem>(
 
         // Environmental selection over µ + λ.
         population.extend(offspring);
-        let objectives: Vec<Vec<f64>> =
-            population.iter().map(|i| i.objectives.clone()).collect();
+        let objectives: Vec<Vec<f64>> = population.iter().map(|i| i.objectives.clone()).collect();
         let ranks = non_dominated_ranks(&objectives);
         let crowding = crowding_distances(&objectives, &ranks);
         let mut order: Vec<usize> = (0..population.len()).collect();
-        order.sort_by(|&x, &y| ranks[x].cmp(&ranks[y]).then(crowding[y].total_cmp(&crowding[x])));
+        order.sort_by(|&x, &y| {
+            ranks[x]
+                .cmp(&ranks[y])
+                .then(crowding[y].total_cmp(&crowding[x]))
+        });
         order.truncate(cfg.population);
         let mut selected: Vec<Individual> = Vec::with_capacity(cfg.population);
         for idx in order {
@@ -511,10 +514,19 @@ mod tests {
             ..Nsga2Config::default()
         };
         let serial = run(&mut Zdt1 { n: 6 }, &cfg, |_, _| {});
-        let scrambled = run(&mut Zdt1Scrambled { inner: Zdt1 { n: 6 } }, &cfg, |_, _| {});
+        let scrambled = run(
+            &mut Zdt1Scrambled {
+                inner: Zdt1 { n: 6 },
+            },
+            &cfg,
+            |_, _| {},
+        );
         assert_eq!(serial.population, scrambled.population);
         assert_eq!(serial.evaluations, scrambled.evaluations);
-        assert_eq!(serial.archive.entries().len(), scrambled.archive.entries().len());
+        assert_eq!(
+            serial.archive.entries().len(),
+            scrambled.archive.entries().len()
+        );
     }
 
     #[test]
@@ -556,10 +568,7 @@ mod tests {
         };
         let res = run(&mut HalfFeasible, &cfg, |_, _| {});
         assert!(res.infeasible > 0);
-        assert!(res
-            .population
-            .iter()
-            .all(|i| i.genotype[0] >= 0.5));
+        assert!(res.population.iter().all(|i| i.genotype[0] >= 0.5));
     }
 
     #[test]

@@ -62,7 +62,10 @@ fn fitness(objectives: &[Vec<f64>]) -> Vec<f64> {
             })
             .collect();
         dists.sort_by(|a, b| a.total_cmp(b));
-        let kd = dists.get(k.min(dists.len().saturating_sub(1))).copied().unwrap_or(0.0);
+        let kd = dists
+            .get(k.min(dists.len().saturating_sub(1)))
+            .copied()
+            .unwrap_or(0.0);
         fit[i] = raw[i] + 1.0 / (kd + 2.0);
     }
     fit
@@ -71,11 +74,7 @@ fn fitness(objectives: &[Vec<f64>]) -> Vec<f64> {
 /// Environmental selection: keep the non-dominated set, truncating by
 /// nearest-neighbour distance when oversized, padding with the best
 /// dominated individuals when undersized.
-fn environmental_selection(
-    pool: &[Individual],
-    fit: &[f64],
-    size: usize,
-) -> Vec<Individual> {
+fn environmental_selection(pool: &[Individual], fit: &[f64], size: usize) -> Vec<Individual> {
     let mut selected: Vec<usize> = (0..pool.len()).filter(|&i| fit[i] < 1.0).collect();
     if selected.len() < size {
         // Pad with the best dominated individuals.
@@ -128,10 +127,10 @@ pub fn run_spea2<P: Problem>(
     let mut infeasible = 0usize;
 
     let eval = |problem: &mut P,
-                    genotype: Vec<f64>,
-                    evaluations: &mut usize,
-                    infeasible: &mut usize,
-                    archive: &mut ParetoArchive<Vec<f64>>|
+                genotype: Vec<f64>,
+                evaluations: &mut usize,
+                infeasible: &mut usize,
+                archive: &mut ParetoArchive<Vec<f64>>|
      -> Option<Individual> {
         *evaluations += 1;
         match problem.evaluate(&genotype) {
@@ -151,15 +150,25 @@ pub fn run_spea2<P: Problem>(
 
     let mut population: Vec<Individual> = Vec::new();
     for genotype in cfg.seeds.iter().cloned() {
-        if let Some(ind) = eval(problem, genotype, &mut evaluations, &mut infeasible, &mut archive)
-        {
+        if let Some(ind) = eval(
+            problem,
+            genotype,
+            &mut evaluations,
+            &mut infeasible,
+            &mut archive,
+        ) {
             population.push(ind);
         }
     }
     while population.len() < cfg.population && evaluations < cfg.evaluations.max(cfg.population) {
         let genotype: Vec<f64> = (0..n).map(|_| rng.unit()).collect();
-        if let Some(ind) = eval(problem, genotype, &mut evaluations, &mut infeasible, &mut archive)
-        {
+        if let Some(ind) = eval(
+            problem,
+            genotype,
+            &mut evaluations,
+            &mut infeasible,
+            &mut archive,
+        ) {
             population.push(ind);
         }
     }
@@ -173,8 +182,7 @@ pub fn run_spea2<P: Problem>(
     }
 
     while evaluations < cfg.evaluations {
-        let objectives: Vec<Vec<f64>> =
-            population.iter().map(|i| i.objectives.clone()).collect();
+        let objectives: Vec<Vec<f64>> = population.iter().map(|i| i.objectives.clone()).collect();
         let fit = fitness(&objectives);
 
         // Mating selection: binary tournaments on fitness.
@@ -197,16 +205,20 @@ pub fn run_spea2<P: Problem>(
                 cfg.crossover_prob,
             );
             mutate(&mut rng, &mut child, mutation_prob, cfg.eta_mutation);
-            if let Some(ind) = eval(problem, child, &mut evaluations, &mut infeasible, &mut archive)
-            {
+            if let Some(ind) = eval(
+                problem,
+                child,
+                &mut evaluations,
+                &mut infeasible,
+                &mut archive,
+            ) {
                 offspring.push(ind);
             }
         }
 
         // Environmental selection over union.
         population.extend(offspring);
-        let objectives: Vec<Vec<f64>> =
-            population.iter().map(|i| i.objectives.clone()).collect();
+        let objectives: Vec<Vec<f64>> = population.iter().map(|i| i.objectives.clone()).collect();
         let fit = fitness(&objectives);
         population = environmental_selection(&population, &fit, cfg.population);
         progress(evaluations, archive.len());
@@ -269,7 +281,12 @@ mod tests {
 
     #[test]
     fn fitness_zero_for_unique_nondominated() {
-        let objs = vec![vec![0.0, 2.0], vec![1.0, 1.0], vec![2.0, 0.0], vec![3.0, 3.0]];
+        let objs = vec![
+            vec![0.0, 2.0],
+            vec![1.0, 1.0],
+            vec![2.0, 0.0],
+            vec![3.0, 3.0],
+        ];
         let f = fitness(&objs);
         // The three front points have raw fitness 0 (fitness < 1); the
         // dominated one is >= 1 (sum of strengths of its dominators).

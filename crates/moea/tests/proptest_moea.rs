@@ -8,10 +8,7 @@ use eea_moea::{
 use proptest::prelude::*;
 
 fn objective_vectors(n: usize, m: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(0.0f64..10.0, m..=m),
-        1..=n,
-    )
+    proptest::collection::vec(proptest::collection::vec(0.0f64..10.0, m..=m), 1..=n)
 }
 
 proptest! {

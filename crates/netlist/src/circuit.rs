@@ -213,7 +213,10 @@ impl fmt::Display for BuildCircuitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildCircuitError::BadArity { gate, kind, arity } => {
-                write!(f, "gate {gate} of kind {kind} has invalid fanin count {arity}")
+                write!(
+                    f,
+                    "gate {gate} of kind {kind} has invalid fanin count {arity}"
+                )
             }
             BuildCircuitError::CombinationalCycle(g) => {
                 write!(f, "combinational cycle through gate {g}")

@@ -10,11 +10,7 @@ use std::ops::{BitAnd, BitOr, BitXor, Not};
 /// width; the lane loops of a wide word are shaped for LLVM
 /// autovectorization.
 pub trait SimWord:
-    Copy
-    + BitAnd<Output = Self>
-    + BitOr<Output = Self>
-    + BitXor<Output = Self>
-    + Not<Output = Self>
+    Copy + BitAnd<Output = Self> + BitOr<Output = Self> + BitXor<Output = Self> + Not<Output = Self>
 {
     /// The all-zeros word.
     const ZEROS: Self;
@@ -119,7 +115,10 @@ impl GateKind {
     /// fanin slice.
     #[inline]
     pub fn eval<W: SimWord>(self, fanin: &[W]) -> W {
-        debug_assert!(!fanin.is_empty(), "gate evaluation needs at least one fanin");
+        debug_assert!(
+            !fanin.is_empty(),
+            "gate evaluation needs at least one fanin"
+        );
         self.eval_iter(fanin.iter().copied())
     }
 

@@ -39,11 +39,14 @@
 
 // Library targets are panic-free by policy (see DESIGN.md, "Error
 // taxonomy"): unwrap/expect/panic! are denied outside test code.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
+pub mod bench_format;
 mod circuit;
 mod gate;
-pub mod bench_format;
 pub mod scan;
 pub mod synth;
 pub mod verilog;
@@ -51,9 +54,9 @@ pub mod verilog;
 pub use bench_format::ParseBenchError;
 pub use circuit::{BuildCircuitError, Circuit, CircuitBuilder, CircuitStats};
 pub use gate::{GateId, GateKind, SimWord};
-pub use verilog::ParseVerilogError;
 pub use scan::{ScanChains, ScanConfig, ScanError};
 pub use synth::{synthesize, SynthConfig, SynthError};
+pub use verilog::ParseVerilogError;
 
 use std::error::Error;
 use std::fmt;

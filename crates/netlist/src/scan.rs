@@ -161,7 +161,8 @@ mod tests {
             dffs,
             seed: 5,
             ..SynthConfig::default()
-        }).expect("synthesizes")
+        })
+        .expect("synthesizes")
     }
 
     #[test]

@@ -362,11 +362,13 @@ mod tests {
         let a = synthesize(&SynthConfig {
             seed: 1,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         let b = synthesize(&SynthConfig {
             seed: 2,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         // Extremely unlikely to coincide in both structure and kinds.
         assert!(a.stats() != b.stats() || a.gate_ids().any(|g| a.kind(g) != b.kind(g)));
     }
@@ -393,7 +395,8 @@ mod tests {
             gates: 2000,
             seed: 9,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         // Locality bias should create depth well beyond 3 levels.
         assert!(c.depth() > 5, "depth = {}", c.depth());
     }
@@ -406,7 +409,8 @@ mod tests {
             dffs: 12,
             seed: 11,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         for &ff in c.dffs() {
             assert_eq!(c.fanin(ff).len(), 1);
         }
@@ -418,7 +422,8 @@ mod tests {
             gates: 400,
             seed: 21,
             ..SynthConfig::default()
-        }).expect("synthesizes");
+        })
+        .expect("synthesizes");
         for g in c.gate_ids() {
             if !c.kind(g).is_combinational_source() && c.fanout(g).is_empty() {
                 assert!(c.outputs().contains(&g), "sink {g} not an output");

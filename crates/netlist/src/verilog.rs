@@ -277,10 +277,8 @@ pub fn parse(src: &str) -> Result<Circuit, ParseVerilogError> {
     while !pending.is_empty() {
         let before = pending.len();
         pending.retain(|inst| {
-            let resolved: Option<Vec<GateId>> = inst.pins[1..]
-                .iter()
-                .map(|n| ids.get(n).copied())
-                .collect();
+            let resolved: Option<Vec<GateId>> =
+                inst.pins[1..].iter().map(|n| ids.get(n).copied()).collect();
             if let Some(fanin) = resolved {
                 ids.insert(
                     inst.pins[0].clone(),

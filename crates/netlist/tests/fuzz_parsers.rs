@@ -96,9 +96,21 @@ impl Mutator {
             // prefix handling like bare `INPUT(` / `OUTPUT(` / `module`).
             5 => {
                 const FRAGMENTS: &[&str] = &[
-                    "INPUT(", "OUTPUT(", "= NAND(", "DFF(", ",,", "((", "))",
-                    "module ", "endmodule", "wire ", "input ", "output ",
-                    "nand g (", "#", "=",
+                    "INPUT(",
+                    "OUTPUT(",
+                    "= NAND(",
+                    "DFF(",
+                    ",,",
+                    "((",
+                    "))",
+                    "module ",
+                    "endmodule",
+                    "wire ",
+                    "input ",
+                    "output ",
+                    "nand g (",
+                    "#",
+                    "=",
                 ];
                 let frag = FRAGMENTS[self.below(FRAGMENTS.len())];
                 let i = self.below(bytes.len() + 1);
@@ -116,7 +128,9 @@ impl Mutator {
             // Replace with raw printable junk.
             _ => {
                 let len = self.below(200);
-                bytes = (0..len).map(|_| 0x20 + (self.next() % 0x5f) as u8).collect();
+                bytes = (0..len)
+                    .map(|_| 0x20 + (self.next() % 0x5f) as u8)
+                    .collect();
             }
         }
         String::from_utf8_lossy(&bytes).into_owned()

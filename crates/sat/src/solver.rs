@@ -432,7 +432,8 @@ impl Solver {
             }
             self.var_inc *= 1e-100;
         }
-        self.heap.set_dynamic_activity(v.index(), self.activity[v.index()]);
+        self.heap
+            .set_dynamic_activity(v.index(), self.activity[v.index()]);
     }
 
     /// First-UIP conflict analysis; returns the learned clause (asserting
@@ -501,7 +502,9 @@ impl Solver {
 
     fn backtrack_to(&mut self, level: u32) {
         while self.trail_lim.len() as u32 > level {
-            let Some(lim) = self.trail_lim.pop() else { break };
+            let Some(lim) = self.trail_lim.pop() else {
+                break;
+            };
             while self.trail.len() > lim {
                 let Some(l) = self.trail.pop() else { break };
                 let v = l.var();
@@ -577,8 +580,7 @@ impl Solver {
                     None => return SolveResult::Sat,
                     Some(v) => {
                         self.trail_lim.push(self.trail.len());
-                        let pol = self.user_polarity[v.index()]
-                            .unwrap_or(self.phase[v.index()]);
+                        let pol = self.user_polarity[v.index()].unwrap_or(self.phase[v.index()]);
                         self.enqueue(v.lit(pol), Reason::Decision);
                     }
                 },

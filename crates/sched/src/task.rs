@@ -125,28 +125,46 @@ impl std::fmt::Display for SchedError {
                 write!(f, "periodic task {task}: WCET exceeds the period")
             }
             SchedError::OffsetExceedsPeriod { task } => {
-                write!(f, "periodic task {task}: offset must be smaller than the period")
+                write!(
+                    f,
+                    "periodic task {task}: offset must be smaller than the period"
+                )
             }
             SchedError::ZeroInterarrival { task } => {
-                write!(f, "sporadic task {task}: minimum inter-arrival must be positive")
+                write!(
+                    f,
+                    "sporadic task {task}: minimum inter-arrival must be positive"
+                )
             }
             SchedError::SporadicWcetExceedsInterarrival { task } => {
-                write!(f, "sporadic task {task}: WCET exceeds the minimum inter-arrival")
+                write!(
+                    f,
+                    "sporadic task {task}: WCET exceeds the minimum inter-arrival"
+                )
             }
             SchedError::Overutilized { utilization } => {
-                write!(f, "task set is overutilized: worst-case utilization {utilization:.3} > 1")
+                write!(
+                    f,
+                    "task set is overutilized: worst-case utilization {utilization:.3} > 1"
+                )
             }
             SchedError::HyperperiodOverflow => {
                 write!(f, "period LCM exceeds the supported hyperperiod range")
             }
             SchedError::TimelineTooDense => {
-                write!(f, "task set releases too many jobs per hyperperiod to simulate")
+                write!(
+                    f,
+                    "task set releases too many jobs per hyperperiod to simulate"
+                )
             }
             SchedError::InvalidMinSlice => {
                 write!(f, "minimum BIST slice must be finite and non-negative")
             }
             SchedError::DeadlineMiss { task, at_us } => {
-                write!(f, "periodic task {task} missed its deadline at t = {at_us} us")
+                write!(
+                    f,
+                    "periodic task {task} missed its deadline at t = {at_us} us"
+                )
             }
         }
     }
@@ -297,7 +315,11 @@ mod tests {
     #[test]
     fn hyperperiod_is_exact_lcm() {
         let cfg = TaskSetConfig {
-            periodic: vec![periodic(6, 0, 1, 0), periodic(9, 0, 1, 1), periodic(4, 0, 1, 2)],
+            periodic: vec![
+                periodic(6, 0, 1, 0),
+                periodic(9, 0, 1, 1),
+                periodic(4, 0, 1, 2),
+            ],
             ..TaskSetConfig::default()
         };
         let set = TaskSet::from_config(&cfg).expect("valid set");
@@ -411,12 +433,18 @@ mod tests {
             periodic: vec![periodic(1, 0, 0, 0), periodic(10_000_000, 0, 0, 1)],
             ..TaskSetConfig::default()
         };
-        assert_eq!(TaskSet::from_config(&cfg), Err(SchedError::TimelineTooDense));
+        assert_eq!(
+            TaskSet::from_config(&cfg),
+            Err(SchedError::TimelineTooDense)
+        );
     }
 
     #[test]
     fn errors_render() {
-        let e = SchedError::DeadlineMiss { task: 3, at_us: 900 };
+        let e = SchedError::DeadlineMiss {
+            task: 3,
+            at_us: 900,
+        };
         assert!(e.to_string().contains("task 3"));
         assert!(e.to_string().contains("900"));
     }

@@ -138,10 +138,7 @@ impl TaskSet {
                 }
             }
         }
-        Ok(ScheduleTimeline {
-            slices,
-            horizon_us,
-        })
+        Ok(ScheduleTimeline { slices, horizon_us })
     }
 }
 
@@ -323,7 +320,10 @@ mod tests {
             .sum();
         let total: f64 = table.segments().iter().map(|&(len, _)| len).sum();
         assert!((total - table.hyper_s()).abs() < 1e-15);
-        assert!((idle / total - 0.5).abs() < 1e-9, "steady state is half idle");
+        assert!(
+            (idle / total - 0.5).abs() < 1e-9,
+            "steady state is half idle"
+        );
         // Alternating busy/idle segments, never adjacent same-kind.
         for pair in table.segments().windows(2) {
             assert_ne!(pair[0].1, pair[1].1, "segments are coalesced");

@@ -48,7 +48,12 @@ impl FlatBudget {
     /// Builds the source from `[min, max]` bounds, precomputing the
     /// ranges — the identical subtraction the per-window draw used to
     /// evaluate, hoisted.
-    pub fn from_bounds(min_gap_s: f64, max_gap_s: f64, min_window_s: f64, max_window_s: f64) -> Self {
+    pub fn from_bounds(
+        min_gap_s: f64,
+        max_gap_s: f64,
+        min_window_s: f64,
+        max_window_s: f64,
+    ) -> Self {
         FlatBudget {
             min_gap_s,
             gap_range_s: max_gap_s - min_gap_s,
@@ -383,7 +388,10 @@ mod tests {
             macro_total += g + w;
             let _phase = shadow.unit();
             draws += 1;
-            assert!(draws < 10_000, "carver must stay in sync with the flat stream");
+            assert!(
+                draws < 10_000,
+                "carver must stay in sync with the flat stream"
+            );
         }
         assert!(draws > 0);
         assert!(

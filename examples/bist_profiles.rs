@@ -67,7 +67,10 @@ fn main() {
     }
 
     println!("\n== The published Table I (paper dataset, for comparison) ==");
-    println!("{:>3} {:>8} {:>9} {:>11} {:>12}", "#", "PRPs", "cov [%]", "l(b) [ms]", "s(b) [B]");
+    println!(
+        "{:>3} {:>8} {:>9} {:>11} {:>12}",
+        "#", "PRPs", "cov [%]", "l(b) [ms]", "s(b) [B]"
+    );
     for p in paper_table1().iter().take(8) {
         println!(
             "{:>3} {:>8} {:>9.2} {:>11.2} {:>12}",

@@ -173,9 +173,8 @@ fn main() {
                 .expect("finite")
         })
         .expect("nonempty front");
-    let schedules =
-        check_schedulability(&diag, &best.implementation, eea_can::BUS_BITRATE_BPS)
-            .expect("functional schedule certifies");
+    let schedules = check_schedulability(&diag, &best.implementation, eea_can::BUS_BITRATE_BPS)
+        .expect("functional schedule certifies");
     println!("\nderived functional CAN schedules:");
     for s in &schedules {
         println!(

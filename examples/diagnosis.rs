@@ -79,13 +79,19 @@ fn main() {
     );
     println!("  top candidates of {} total:", diagnoser.num_candidates());
     for cand in ranked.iter().take(8) {
-        let marker = if cand.fault == defect { "  <-- true defect" } else { "" };
-        println!("    {:<14} score {:.3}{marker}", cand.fault.to_string(), cand.score);
+        let marker = if cand.fault == defect {
+            "  <-- true defect"
+        } else {
+            ""
+        };
+        println!(
+            "    {:<14} score {:.3}{marker}",
+            cand.fault.to_string(),
+            cand.score
+        );
     }
     let resolution = diagnoser.resolution(&fail_data);
-    println!(
-        "  diagnostic resolution: {resolution} candidate(s) in the top equivalence class"
-    );
+    println!("  diagnostic resolution: {resolution} candidate(s) in the top equivalence class");
     let best = ranked[0].score;
     assert!(
         ranked

@@ -49,7 +49,10 @@ fn main() -> Result<(), EeaError> {
     println!(
         "blueprints: {} implementations, {} campaign-capable",
         blueprints.len(),
-        blueprints.iter().filter(|b| b.is_campaign_capable()).count()
+        blueprints
+            .iter()
+            .filter(|b| b.is_campaign_capable())
+            .count()
     );
 
     // 3. The campaign: 2,000 vehicles, 2 % seeded defective, 30 days.

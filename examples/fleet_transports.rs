@@ -52,7 +52,10 @@ fn main() -> Result<(), EeaError> {
     for kind in TransportKind::ALL {
         let transport = TransportConfig::for_kind(kind);
         let blueprints = blueprints_from_front_with(&diag, &front, &transport)?;
-        let capable = blueprints.iter().filter(|b| b.is_campaign_capable()).count();
+        let capable = blueprints
+            .iter()
+            .filter(|b| b.is_campaign_capable())
+            .count();
 
         let campaign = Campaign::new(
             &cut,

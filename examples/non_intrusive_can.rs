@@ -9,9 +9,7 @@
 //! cargo run -p eea-dse --example non_intrusive_can --release
 //! ```
 
-use eea_can::{
-    analyze, mirror_messages, transfer_time_s, BusSim, CanId, Message, BUS_BITRATE_BPS,
-};
+use eea_can::{analyze, mirror_messages, transfer_time_s, BusSim, CanId, Message, BUS_BITRATE_BPS};
 
 fn msg(id: u16, payload: u8, period_us: u64) -> Message {
     Message::new(CanId::new(id).expect("valid id"), payload, period_us).expect("valid message")
@@ -38,8 +36,7 @@ fn main() {
     // BIST session: the ECU's messages go silent, mirrored test-data
     // messages (same size/period/relative priority, fresh IDs) take their
     // place.
-    let mirrored =
-        mirror_messages(&ecu_under_test, 0x20, &others).expect("mirroring succeeds");
+    let mirrored = mirror_messages(&ecu_under_test, 0x20, &others).expect("mirroring succeeds");
     let mut test_schedule: Vec<Message> = others.to_vec();
     test_schedule.extend_from_slice(&mirrored);
     let test = sim.run(&test_schedule, horizon).expect("simulates");

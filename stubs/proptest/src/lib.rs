@@ -57,7 +57,10 @@ pub struct TestRng(u64);
 impl TestRng {
     /// RNG for the `case`-th case of a test.
     pub fn for_case(case: u64) -> Self {
-        TestRng(case.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x1234_5678))
+        TestRng(
+            case.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(0x1234_5678),
+        )
     }
 
     /// Next raw 64-bit value.

@@ -15,7 +15,8 @@ fn cut() -> eea_netlist::Circuit {
         dffs: 32,
         seed: 0xBEEF,
         ..SynthConfig::default()
-    }).expect("synthesizes")
+    })
+    .expect("synthesizes")
 }
 
 /// Mixed-mode flow: LFSR random phase covers most faults, PODEM top-off
@@ -76,7 +77,10 @@ fn stumps_session_localises_faults() {
             continue;
         }
         let fail = session.run_with_fault(fault, &golden);
-        assert!(!fail.is_pass(), "{fault} detected in block but session passed");
+        assert!(
+            !fail.is_pass(),
+            "{fault} detected in block but session passed"
+        );
         // First failing window is consistent with the first detecting
         // pattern (window size 16).
         let first_pattern = mask.trailing_zeros() as u64;
@@ -179,7 +183,8 @@ fn untestable_faults_never_detected_by_random_patterns() {
         dffs: 8,
         seed: 0x5EED,
         ..SynthConfig::default()
-    }).expect("synthesizes");
+    })
+    .expect("synthesizes");
     let mut podem = eea_atpg::Podem::new(&c, 50_000);
     let universe = FaultUniverse::collapsed(&c);
     let untestable: Vec<_> = (0..universe.num_faults())

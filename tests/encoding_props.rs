@@ -64,7 +64,8 @@ fn check_constraints(diag: &DiagSpec, x: &Implementation) {
 
     // (2b)-(2g) summarised: structural route validation (connected route
     // containing sender and bound receivers) plus cycle-freedom.
-    spec.validate_implementation(x).expect("valid implementation");
+    spec.validate_implementation(x)
+        .expect("valid implementation");
     for route in x.routing.values() {
         let unique: std::collections::BTreeSet<_> = route.iter().collect();
         assert_eq!(unique.len(), route.len(), "(2d) violated: cycle in route");

@@ -47,13 +47,16 @@ fn front_reproduces_papers_tradeoff_structure() {
         .iter()
         .filter(|p| !p.fast_shutoff)
         .map(|p| (p.cost, p.quality_pct))
-        .fold((f64::INFINITY, 0.0), |(c, q), (pc, pq)| {
-            if pc < c {
-                (pc, pq)
-            } else {
-                (c, q)
-            }
-        });
+        .fold(
+            (f64::INFINITY, 0.0),
+            |(c, q), (pc, pq)| {
+                if pc < c {
+                    (pc, pq)
+                } else {
+                    (c, q)
+                }
+            },
+        );
     let best_cheap_fast = points
         .iter()
         .filter(|p| p.fast_shutoff && p.quality_pct > 0.0)
@@ -102,9 +105,7 @@ fn fig6_memory_split_tradeoff() {
         .iter()
         .max_by_key(|r| r.distributed_bytes)
         .expect("nonempty");
-    if most_gateway.gateway_bytes > 0
-        && most_local.distributed_bytes > most_local.gateway_bytes
-    {
+    if most_gateway.gateway_bytes > 0 && most_local.distributed_bytes > most_local.gateway_bytes {
         assert!(
             most_gateway.shutoff_s >= most_local.shutoff_s
                 || most_local.shutoff_s < SHUTOFF_MARKER_SPLIT_S,

@@ -78,7 +78,9 @@ fn run(cut: &CutModel, blueprints: &[VehicleBlueprint], threads: usize) -> Fleet
         batch_size: 16,
         ..CampaignConfig::default()
     };
-    Campaign::new(cut, blueprints, cfg).expect("valid campaign").run()
+    Campaign::new(cut, blueprints, cfg)
+        .expect("valid campaign")
+        .run()
 }
 
 #[test]

@@ -29,7 +29,11 @@ fn mirroring_preserves_latencies_across_schedules() {
             ],
         ),
         (
-            vec![msg(0x210, 1, 100_000), msg(0x218, 8, 10_000), msg(0x220, 3, 20_000)],
+            vec![
+                msg(0x210, 1, 100_000),
+                msg(0x218, 8, 10_000),
+                msg(0x220, 3, 20_000),
+            ],
             vec![msg(0x010, 8, 5_000), msg(0x400, 4, 25_000)],
         ),
     ];

@@ -34,7 +34,10 @@ fn explore_is_bit_identical_at_any_thread_count() {
     for threads in [2, 4, 7] {
         let parallel = run(threads);
         assert_eq!(parallel.threads, threads);
-        assert_eq!(parallel.evaluations, serial.evaluations, "threads {threads}");
+        assert_eq!(
+            parallel.evaluations, serial.evaluations,
+            "threads {threads}"
+        );
         assert_eq!(parallel.infeasible, serial.infeasible, "threads {threads}");
         assert_eq!(
             parallel.convergence, serial.convergence,
