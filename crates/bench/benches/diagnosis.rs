@@ -47,8 +47,9 @@ fn bench_dict_build(c: &mut Criterion) {
     group.finish();
 
     // Lookup: rank every session fail payload against the dictionary.
-    let table = SessionTable::build(&cut, &chains, LFSR_SEED, WINDOW, PATTERNS, 0);
-    let diagnoser = Diagnoser::from_table(&table);
+    let (faults, _, detect_windows, windows) =
+        SessionTable::build(&cut, &chains, LFSR_SEED, WINDOW, PATTERNS, 0).into_parts();
+    let diagnoser = Diagnoser::from_detect_windows(faults, detect_windows, windows);
     let session = StumpsSession::new(&cut, &chains, LFSR_SEED, WINDOW);
     let golden = session.run_golden(PATTERNS);
     let universe = FaultUniverse::collapsed(&cut);

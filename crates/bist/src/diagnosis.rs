@@ -325,23 +325,32 @@ impl Diagnoser {
         window: u64,
         patterns: u64,
     ) -> Self {
-        Self::from_table(&SessionTable::build(
-            circuit, chains, lfsr_seed, window, patterns, 1,
-        ))
+        let table = SessionTable::build(circuit, chains, lfsr_seed, window, patterns, 1);
+        let (faults, _, detect_windows, windows) = table.into_parts();
+        Self::from_detect_windows(faults, detect_windows, windows)
     }
 
-    /// Builds the diagnoser from an already-computed session table — the
+    /// Builds the diagnoser from the parts of an already-computed
+    /// [`SessionTable`] ([`SessionTable::into_parts`]), taking ownership
+    /// of the detect-window sets instead of copying them — the
     /// shared-dictionary path: the fleet's `CutModel` builds the table
     /// once and derives both its fail table and this dictionary from it.
-    pub fn from_table(table: &SessionTable) -> Self {
-        let mut dictionary: Vec<(Fault, Vec<u32>)> = (0..table.num_faults())
-            .map(|i| (table.fault(i), table.detect_windows(i).to_vec()))
-            .collect();
+    ///
+    /// `detect_windows[i]` is the strictly increasing predicted
+    /// failing-window set of `faults[i]`; entries past the shorter of the
+    /// two vectors are ignored.
+    pub fn from_detect_windows(
+        faults: Vec<Fault>,
+        detect_windows: Vec<Vec<u32>>,
+        windows: u32,
+    ) -> Self {
+        let mut dictionary: Vec<(Fault, Vec<u32>)> =
+            faults.into_iter().zip(detect_windows).collect();
         dictionary.sort_by_key(|a| a.0);
         let (faults, sets) = dictionary.into_iter().unzip();
         Diagnoser {
             faults,
-            windows: table.windows(),
+            windows,
             engine: Engine::new(sets),
         }
     }

@@ -17,27 +17,6 @@ pub const FAIL_DATA_BYTES: u64 = 638;
 /// to, here and in the transfer layer's channel truncation.
 pub const FAIL_ENTRY_BYTES: u64 = 12;
 
-/// Integrity classification of a fail-data payload as it reaches
-/// diagnosis — the widening of the old boolean
-/// [`FailData::is_truncated`] into the four ways a payload can be
-/// incomplete or wrong. `Complete` and `TruncatedAtCap` are
-/// self-detectable from the payload ([`FailData::integrity`]);
-/// `WindowLost` and `CorruptedSyndrome` are channel facts the transfer
-/// layer records alongside the payload (a lost or flipped entry is
-/// indistinguishable from genuine fail data by inspection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FailDataIntegrity {
-    /// Every recorded window survived to diagnosis.
-    Complete,
-    /// The bounded fail memory (or a channel truncation cap) dropped a
-    /// suffix of the recorded windows.
-    TruncatedAtCap,
-    /// One failing window was lost in transit (interrupted upload).
-    WindowLost,
-    /// One entry arrived with a corrupted window index/syndrome.
-    CorruptedSyndrome,
-}
-
 /// One failing signature window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FailEntry {
@@ -97,20 +76,6 @@ impl FailData {
     /// Serialized size with no fail-memory bound applied.
     fn unclamped_byte_size(&self) -> u64 {
         (self.entries.len() as u64) * FAIL_ENTRY_BYTES
-    }
-
-    /// Self-detectable integrity of this payload: [`FailDataIntegrity::TruncatedAtCap`]
-    /// when the bounded fail memory clamped (the enum form of
-    /// [`is_truncated`](Self::is_truncated)), [`FailDataIntegrity::Complete`]
-    /// otherwise. Channel-inflicted window loss and syndrome corruption
-    /// cannot be detected from the payload alone — the transfer layer
-    /// records those variants out of band.
-    pub fn integrity(&self) -> FailDataIntegrity {
-        if self.is_truncated() {
-            FailDataIntegrity::TruncatedAtCap
-        } else {
-            FailDataIntegrity::Complete
-        }
     }
 
     /// The payload after a transfer capped at `cap_bytes`: the longest
@@ -215,17 +180,6 @@ mod tests {
         assert_eq!(fd.byte_size(), FAIL_DATA_BYTES); // clamped, not 648
 
         assert!(!FailData::new().is_truncated());
-    }
-
-    #[test]
-    fn integrity_widens_is_truncated() {
-        let mut fd = FailData::new();
-        assert_eq!(fd.integrity(), FailDataIntegrity::Complete);
-        for i in 0..54 {
-            fd.push(i, u64::from(i));
-        }
-        assert!(fd.is_truncated());
-        assert_eq!(fd.integrity(), FailDataIntegrity::TruncatedAtCap);
     }
 
     #[test]

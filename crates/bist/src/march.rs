@@ -376,17 +376,6 @@ impl MarchTest {
         &self.engine.sets()[i as usize]
     }
 
-    /// Encoded fail-data size (bytes) a defective SRAM ECU uploads for
-    /// fault `i` — at most six `(element, syndrome)` entries, so march
-    /// uploads are far smaller than logic fail memories.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range (caller bug, not data-reachable).
-    pub fn fail_bytes(&self, i: u32) -> u64 {
-        self.fail_data(i).byte_size()
-    }
-
     /// Indices of faults March C- detects. The classic result holds in
     /// the model: all SAF/TF/CFin faults are detected, so this is the
     /// full universe.
@@ -532,7 +521,7 @@ mod tests {
             let fd = m.fail_data(i);
             assert!(!fd.is_truncated());
             assert!(fd.entries().len() <= 6, "one entry per march element");
-            assert!(m.fail_bytes(i) > 0);
+            assert!(fd.byte_size() > 0);
             for pair in fd.entries().windows(2) {
                 assert!(pair[0].window < pair[1].window, "entries in element order");
             }

@@ -139,8 +139,9 @@ proptest! {
         salt in 0u8..=255,
     ) {
         let (c, chains) = substrate(seed, 70);
-        let table = SessionTable::build(&c, &chains, 0xACE1, window, patterns, 2);
-        let diagnoser = Diagnoser::from_table(&table);
+        let (faults, _, detect_windows, windows) =
+            SessionTable::build(&c, &chains, 0xACE1, window, patterns, 2).into_parts();
+        let diagnoser = Diagnoser::from_detect_windows(faults, detect_windows, windows);
         let session = StumpsSession::new(&c, &chains, 0xACE1, window);
         let golden = session.run_golden(patterns);
         let universe = FaultUniverse::collapsed(&c);
@@ -205,7 +206,7 @@ proptest! {
 
     /// `Diagnoser::new` (the public constructor) is the one-pass build:
     /// its rankings equal a diagnoser built from the serial-replay table,
-    /// pinning `from_table` as a pure refactor of `new`.
+    /// pinning `from_detect_windows` as a pure refactor of `new`.
     #[test]
     fn constructor_equals_serial_replay_dictionary(
         seed in 1u64..6,
@@ -214,9 +215,9 @@ proptest! {
     ) {
         let (c, chains) = substrate(seed, 60);
         let fast = Diagnoser::new(&c, &chains, 0xACE1, window, patterns);
-        let serial = Diagnoser::from_table(&SessionTable::build_serial_replay(
-            &c, &chains, 0xACE1, window, patterns,
-        ));
+        let (faults, _, detect_windows, windows) =
+            SessionTable::build_serial_replay(&c, &chains, 0xACE1, window, patterns).into_parts();
+        let serial = Diagnoser::from_detect_windows(faults, detect_windows, windows);
         prop_assert_eq!(fast.num_candidates(), serial.num_candidates());
         prop_assert_eq!(fast.windows(), serial.windows());
         let session = StumpsSession::new(&c, &chains, 0xACE1, window);

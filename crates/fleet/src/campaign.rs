@@ -25,7 +25,7 @@ use eea_moea::Rng;
 use eea_sched::SchedPlan;
 
 use crate::blueprint::VehicleBlueprint;
-use crate::cut::CutModel;
+use crate::cut::{CutModel, FaultModels};
 use crate::error::FleetError;
 use crate::gateway::{GatewayConfig, GatewayService, VehicleArrival, DEFAULT_QUEUE_CAPACITY};
 use crate::report::FleetReport;
@@ -110,8 +110,7 @@ pub struct StageTimings {
 /// set.
 #[derive(Debug)]
 pub struct Campaign<'a> {
-    cut: &'a CutModel,
-    sram: Option<&'a MarchTest>,
+    models: FaultModels<'a>,
     blueprints: &'a [VehicleBlueprint],
     /// Per-blueprint schedule plans, built once at validation; `None`
     /// entries keep the flat-budget window source.
@@ -198,8 +197,7 @@ impl<'a> Campaign<'a> {
             .map(|b| b.task_set.as_ref().map(SchedPlan::build).transpose())
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Campaign {
-            cut,
-            sram,
+            models: FaultModels { logic: cut, sram },
             blueprints,
             sched_plans,
             config,
@@ -245,8 +243,7 @@ impl<'a> Campaign<'a> {
     /// [`DEFAULT_QUEUE_CAPACITY`].
     pub fn gateway(&self) -> GatewayService<'a> {
         GatewayService::with_models_unchecked(
-            self.cut,
-            self.sram,
+            self.models,
             GatewayConfig {
                 vehicles: self.config.vehicles,
                 horizon_s: self.config.horizon_s,
@@ -363,8 +360,7 @@ impl<'a> Campaign<'a> {
     fn sim_context(&self) -> SimContext<'_> {
         SimContext::new(
             self.blueprints,
-            self.cut,
-            self.sram,
+            self.models,
             &self.sched_plans,
             self.config.shutoff,
             self.config.defect_fraction,

@@ -54,12 +54,12 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use eea_bist::{CutFamily, MarchTest, FAIL_DATA_BYTES};
+use eea_bist::{FailData, MarchTest, FAIL_DATA_BYTES};
 use eea_faultsim::resolve_threads;
 use eea_model::ResourceId;
 
 use crate::campaign::StageTimings;
-use crate::cut::CutModel;
+use crate::cut::{CutModel, FaultModels};
 use crate::error::{FleetError, MalformedKind};
 use crate::report::FleetReport;
 use crate::snapshot::{diagnose_faults, fold_report, DiagEntry, DiagKey, FleetTotals};
@@ -199,10 +199,7 @@ pub struct GatewaySnapshot {
 /// for provisioning one from a campaign.
 #[derive(Debug)]
 pub struct GatewayService<'a> {
-    cut: &'a CutModel,
-    /// The SRAM CUT model for March-test uploads; `None` for pure-logic
-    /// fleets (an SRAM upload then diagnoses to a typed zero entry).
-    sram: Option<&'a MarchTest>,
+    models: FaultModels<'a>,
     config: GatewayConfig,
     shard_count: usize,
     /// Pending arrivals, bounded by `config.queue_capacity`.
@@ -270,18 +267,17 @@ impl<'a> GatewayService<'a> {
         if config.queue_capacity == 0 {
             return Err(FleetError::ZeroQueueCapacity);
         }
-        Ok(GatewayService::with_models_unchecked(cut, sram, config))
+        Ok(GatewayService::with_models_unchecked(
+            FaultModels { logic: cut, sram },
+            config,
+        ))
     }
 
     /// [`with_models`](Self::with_models) without the bound checks, for a
     /// caller that has already validated every bound `with_models`
     /// checks — a validated [`Campaign`](crate::Campaign) with the
     /// nonzero [`DEFAULT_QUEUE_CAPACITY`].
-    pub(crate) fn with_models_unchecked(
-        cut: &'a CutModel,
-        sram: Option<&'a MarchTest>,
-        config: GatewayConfig,
-    ) -> Self {
+    pub(crate) fn with_models_unchecked(models: FaultModels<'a>, config: GatewayConfig) -> Self {
         let shard_count = if config.shards == 0 {
             resolve_threads(config.threads)
         } else {
@@ -290,8 +286,7 @@ impl<'a> GatewayService<'a> {
         .max(1);
         let blocks = (config.vehicles as usize).div_ceil(SIM_BLOCK);
         GatewayService {
-            cut,
-            sram,
+            models,
             shard_count,
             queue: Vec::new(),
             shards: vec![Vec::new(); shard_count],
@@ -401,15 +396,11 @@ impl<'a> GatewayService<'a> {
         if !up.retransmit_s.is_finite() || up.retransmit_s < 0.0 {
             return Some(MalformedKind::NegativeRetransmit);
         }
-        // The diagnosis dictionaries index by fault number; an index past
-        // the family's model would panic in the snapshot stage, so it is
-        // an ingest-boundary rejection. An SRAM upload without a wired
-        // March model diagnoses to a typed zero entry and needs no bound.
-        let faults = match up.family {
-            CutFamily::Logic => Some(self.cut.num_faults()),
-            CutFamily::Sram => self.sram.map(MarchTest::num_faults),
-        };
-        if let Some(n) = faults {
+        // A fault index names a fault of its family's model, so an index
+        // past that model is an ingest-boundary rejection. An SRAM upload
+        // without a wired March model diagnoses to a typed zero entry and
+        // needs no bound.
+        if let Some(n) = self.models.num_faults(up.family) {
             if usize::try_from(up.fault_index).map_or(true, |i| i >= n) {
                 return Some(MalformedKind::UnknownFault);
             }
@@ -573,7 +564,7 @@ impl<'a> GatewayService<'a> {
         let threads = resolve_threads(self.config.threads).max(1);
         let tl = Instant::now();
         self.diag_cache
-            .extend(diagnose_faults(self.cut, self.sram, &missing, threads));
+            .extend(diagnose_faults(self.models, &missing, threads));
         let diagnose_lookup_s = tl.elapsed().as_secs_f64();
         let diagnose_s = t.elapsed().as_secs_f64();
 
@@ -582,17 +573,14 @@ impl<'a> GatewayService<'a> {
             bist_time_s: self.bist_time_total(),
             ..self.totals.clone()
         };
-        // Truncation is an on-chip fact of the original payload, so the
-        // precomputed per-fault bitset answers in O(1) per upload — no
-        // diagnosis-cache lookup on this counting path.
+        // Truncation is an on-chip fact of the original payload: an O(1)
+        // length check on the fault's fail data, no diagnosis-cache lookup.
         let truncated_uploads = u64::try_from(
             uploads
                 .iter()
-                .filter(|u| match u.family {
-                    CutFamily::Logic => self.cut.fault_truncated(u.fault_index),
-                    CutFamily::Sram => self
-                        .sram
-                        .is_some_and(|m| m.fail_data(u.fault_index).is_truncated()),
+                .filter(|u| {
+                    let fail = self.models.fail_data(u.family, u.fault_index);
+                    fail.is_some_and(FailData::is_truncated)
                 })
                 .count(),
         )
@@ -623,7 +611,7 @@ impl<'a> GatewayService<'a> {
                 merge_s,
                 diagnose_s,
                 fold_s,
-                dict_build_s: self.cut.dict_build_seconds(),
+                dict_build_s: self.models.logic.dict_build_seconds(),
                 diagnose_lookup_s,
             },
         )
@@ -637,6 +625,7 @@ mod tests {
     use crate::campaign::{Campaign, CampaignConfig};
     use crate::cut::CutConfig;
     use crate::VehicleBlueprint;
+    use eea_bist::CutFamily;
 
     fn small_cut() -> CutModel {
         CutModel::build(CutConfig {
@@ -857,6 +846,73 @@ mod tests {
         assert_eq!(rob.rejected_uploads, 5);
         assert_eq!(rob.impaired_uploads, 0);
         assert_eq!(rob.retransmitted_frames, 0);
+    }
+
+    /// The ingest fault bound is per CUT family: an index past the
+    /// family's model is rejected as `UnknownFault` and an in-range one
+    /// folds, while an SRAM upload to a gateway without a March model has
+    /// no bound and diagnoses to a zero finding.
+    #[test]
+    fn fault_bound_follows_the_family_model() {
+        let cut = small_cut();
+        let march = MarchTest::build(eea_bist::SramConfig { words: 4, bits: 4 })
+            .expect("geometry is valid");
+        let bp = [capable_blueprint()];
+        let campaign = small_campaign(&cut, &bp, 64, 17);
+        let horizon_s = campaign.config().horizon_s;
+        let good = campaign
+            .arrivals()
+            .find(|a| a.upload.is_some())
+            .expect("defect fraction 0.3 of 64 produces uploads");
+        let retag = |family, fault_index: usize| {
+            let mut a = good;
+            if let Some(up) = &mut a.upload {
+                up.family = family;
+                up.fault_index = u32::try_from(fault_index).expect("fits");
+            }
+            a
+        };
+        let unknown = Err(FleetError::MalformedUpload {
+            vehicle: good.vehicle,
+            kind: MalformedKind::UnknownFault,
+        });
+
+        let mut logic_only = campaign.gateway();
+        assert_eq!(
+            logic_only.ingest(retag(CutFamily::Logic, cut.num_faults())),
+            unknown
+        );
+        logic_only
+            .ingest(retag(CutFamily::Sram, march.num_faults()))
+            .expect("no March model, no bound");
+        let findings = logic_only.snapshot_at(horizon_s).report.findings;
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].candidates, 0);
+        assert_eq!(findings[0].true_fault_rank, 0);
+
+        let mut with_march = GatewayService::with_models(
+            &cut,
+            Some(&march),
+            GatewayConfig {
+                vehicles: campaign.config().vehicles,
+                horizon_s,
+                ..GatewayConfig::default()
+            },
+        )
+        .expect("provision");
+        assert_eq!(
+            with_march.ingest(retag(CutFamily::Sram, march.num_faults())),
+            unknown
+        );
+        let in_range = march.detectable_faults()[0] as usize;
+        with_march
+            .ingest(retag(CutFamily::Sram, in_range))
+            .expect("an in-range SRAM fault folds");
+        let findings = with_march.snapshot_at(horizon_s).report.findings;
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].candidates, march.num_faults());
+        assert_eq!(findings[0].true_fault_rank, 1);
+        assert_eq!(with_march.malformed(), 1);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 
 use std::collections::BTreeMap;
 
-use eea_bist::{CutFamily, DiagnosisSummary, FailData, MarchTest, FAIL_ENTRY_BYTES};
+use eea_bist::{CutFamily, FailData, FAIL_ENTRY_BYTES};
 use eea_can::{Impairment, ImpairmentKind};
 use eea_model::ResourceId;
 
-use crate::cut::CutModel;
+use crate::cut::FaultModels;
 use crate::report::{
     DefectFinding, EcuReport, FamilyReport, FleetReport, LatencyStats, RankCdfPoint,
     RobustnessReport,
@@ -98,8 +98,7 @@ pub(crate) struct DiagEntry {
     /// On-chip fail-memory overflow of the *original* payload is NOT
     /// cached here: it is independent of any channel impairment, and the
     /// snapshot's `truncated_uploads` counter reads it straight from the
-    /// `CutModel`'s precomputed per-fault bitset
-    /// ([`CutModel::fault_truncated`]).
+    /// fault's fail data ([`FailData::is_truncated`]).
     pub cap_truncated: bool,
 }
 
@@ -111,8 +110,7 @@ pub(crate) struct DiagEntry {
 /// output is keyed by `(fault, impairment)` — the caller merges it into
 /// a `BTreeMap`.
 pub(crate) fn diagnose_faults(
-    cut: &CutModel,
-    sram: Option<&MarchTest>,
+    models: FaultModels<'_>,
     distinct: &[DiagKey],
     threads: usize,
 ) -> Vec<(DiagKey, DiagEntry)> {
@@ -123,7 +121,7 @@ pub(crate) fn diagnose_faults(
     if threads == 1 {
         return distinct
             .iter()
-            .map(|&key| (key, diagnose_fault(cut, sram, key)))
+            .map(|&key| (key, diagnose_fault(models, key)))
             .collect();
     }
     let chunk = distinct.len().div_ceil(threads);
@@ -133,7 +131,7 @@ pub(crate) fn diagnose_faults(
         for part in distinct.chunks(chunk) {
             handles.push(scope.spawn(move || {
                 part.iter()
-                    .map(|&key| (key, diagnose_fault(cut, sram, key)))
+                    .map(|&key| (key, diagnose_fault(models, key)))
                     .collect::<Vec<_>>()
             }));
         }
@@ -164,19 +162,16 @@ fn observed_payload(fail: &FailData, imp: Impairment) -> Option<FailData> {
     })
 }
 
-fn diagnose_fault(cut: &CutModel, sram: Option<&MarchTest>, key: DiagKey) -> DiagEntry {
-    let i = key.fault.index;
-    // The family only picks the model; every key then takes one path.
-    let (fail, summarize): (&FailData, &dyn Fn(&FailData) -> DiagnosisSummary) =
-        match (key.fault.family, sram) {
-            (CutFamily::Logic, _) => (cut.fail_data(i), &|p| cut.diagnose_summary(i, p)),
-            (CutFamily::Sram, Some(m)) => (m.fail_data(i), &|p| m.diagnose_summary(i, p)),
-            // Unreachable for a validated campaign (`MissingSramModel`
-            // gates construction); a typed zero entry, never a panic.
-            (CutFamily::Sram, None) => return DiagEntry::default(),
-        };
+fn diagnose_fault(models: FaultModels<'_>, key: DiagKey) -> DiagEntry {
+    let FaultKey { family, index } = key.fault;
+    // No fail data means no model for the family (a validated campaign
+    // rules that out through `MissingSramModel`): a typed zero entry,
+    // never a panic.
+    let Some(fail) = models.fail_data(family, index) else {
+        return DiagEntry::default();
+    };
     let observed = observed_payload(fail, key.impairment);
-    let s = summarize(observed.as_ref().unwrap_or(fail));
+    let s = models.diagnose_summary(family, index, observed.as_ref().unwrap_or(fail));
     DiagEntry {
         candidates: s.candidates,
         rank: s.rank.unwrap_or(0),

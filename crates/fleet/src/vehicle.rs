@@ -12,14 +12,14 @@
 //! the session result, which is why the precomputed fail data of
 //! [`crate::CutModel`] stays valid here).
 
-use eea_bist::{CutFamily, MarchTest, FAIL_ENTRY_BYTES};
+use eea_bist::{CutFamily, FailData, FAIL_ENTRY_BYTES};
 use eea_can::{ChannelConfig, Impairment};
 use eea_model::ResourceId;
 use eea_moea::Rng;
 use eea_sched::{FlatBudget, SchedPlan, TaskSchedule, WindowSource};
 
 use crate::blueprint::VehicleBlueprint;
-use crate::cut::CutModel;
+use crate::cut::FaultModels;
 use crate::shutoff::ShutoffModel;
 
 /// Payload bytes per classic CAN data frame — the granularity fail-data
@@ -35,8 +35,9 @@ pub(crate) fn cap_entries(cap_bytes: u64) -> u16 {
 }
 
 /// A defect seeded into a vehicle: one fault of the seeded family's CUT
-/// model (a collapsed stuck-at of the logic [`CutModel`] or a cell fault
-/// of the SRAM [`MarchTest`]), placed on one diagnosable ECU.
+/// model (a collapsed stuck-at of the logic [`CutModel`](crate::CutModel)
+/// or a cell fault of the SRAM [`MarchTest`](crate::MarchTest)), placed on
+/// one diagnosable ECU.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefectSeed {
     /// Index into the family's fault list (session-detectable by
@@ -190,16 +191,13 @@ impl FastMod {
 
 /// Everything campaign-invariant the per-vehicle loop reads: the
 /// blueprint set with its precomputed work templates and fast blueprint
-/// divisor, the shared CUT, the shut-off model, and the campaign scalars.
-/// Built once per feed or arrival stream (`Campaign::sim_context`) and
-/// shared read-only by every simulation worker.
+/// divisor, the fault models, the shut-off model, and the campaign
+/// scalars. Built once per feed or arrival stream
+/// (`Campaign::sim_context`) and shared read-only by every simulation
+/// worker.
 pub(crate) struct SimContext<'a> {
     pub blueprints: &'a [VehicleBlueprint],
-    pub cut: &'a CutModel,
-    /// The SRAM CUT model, when the campaign carries one. `None` for
-    /// pure-logic fleets — a blueprint with a diagnosable SRAM session is
-    /// rejected at campaign validation without it.
-    pub sram: Option<&'a MarchTest>,
+    pub models: FaultModels<'a>,
     /// Per-blueprint schedule plans, indexed like `blueprints`; `None`
     /// entries (and an empty slice) mean the flat-budget window source.
     pub sched: &'a [Option<SchedPlan>],
@@ -219,11 +217,9 @@ pub(crate) struct SimContext<'a> {
 }
 
 impl<'a> SimContext<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         blueprints: &'a [VehicleBlueprint],
-        cut: &'a CutModel,
-        sram: Option<&'a MarchTest>,
+        models: FaultModels<'a>,
         sched: &'a [Option<SchedPlan>],
         shutoff: ShutoffModel,
         defect_fraction: f64,
@@ -232,8 +228,7 @@ impl<'a> SimContext<'a> {
     ) -> Self {
         SimContext {
             blueprints,
-            cut,
-            sram,
+            models,
             sched,
             defect_fraction,
             horizon_s,
@@ -259,7 +254,7 @@ impl<'a> SimContext<'a> {
 pub(crate) fn simulate_vehicle(index: u32, ctx: &SimContext<'_>, seed: u64) -> VehicleOutcome {
     let SimContext {
         blueprints,
-        cut,
+        models,
         defect_fraction,
         horizon_s,
         flat,
@@ -282,7 +277,7 @@ pub(crate) fn simulate_vehicle(index: u32, ctx: &SimContext<'_>, seed: u64) -> V
     let wants_defect = rng.chance(defect_fraction);
     let defect = if wants_defect {
         if template.pure_logic {
-            let detectable = cut.detectable_faults();
+            let detectable = models.logic.detectable_faults();
             let fault_index = detectable[rng.below(detectable.len())];
             let plans = &template.diagnosable;
             if plans.is_empty() {
@@ -303,10 +298,7 @@ pub(crate) fn simulate_vehicle(index: u32, ctx: &SimContext<'_>, seed: u64) -> V
             } else {
                 let plan = plans[rng.below(plans.len())];
                 let family = blueprint.sessions[plan].family;
-                let pool = match family {
-                    CutFamily::Logic => cut.detectable_faults(),
-                    CutFamily::Sram => ctx.sram.map_or(&[][..], MarchTest::detectable_faults),
-                };
+                let pool = models.detectable_faults(family);
                 if pool.is_empty() {
                     None
                 } else {
@@ -333,10 +325,9 @@ pub(crate) fn simulate_vehicle(index: u32, ctx: &SimContext<'_>, seed: u64) -> V
     let mut retransmit_s = 0.0f64;
     let mut impairment = Impairment::NONE;
     if let Some(d) = defect {
-        fail_bytes = match d.family {
-            CutFamily::Logic => cut.fail_bytes(d.fault_index),
-            CutFamily::Sram => ctx.sram.map_or(0, |s| s.fail_bytes(d.fault_index)),
-        };
+        fail_bytes = models
+            .fail_data(d.family, d.fault_index)
+            .map_or(0, FailData::byte_size);
         let mut up = blueprint.sessions[d.plan].upload_s(fail_bytes);
         if let ChannelConfig::Noisy(noisy) = &blueprint.channel {
             // Channel draws come from a dedicated per-vehicle sub-stream
@@ -541,8 +532,10 @@ mod tests {
     ) -> VehicleOutcome {
         let ctx = SimContext::new(
             blueprints,
-            cut,
-            None,
+            FaultModels {
+                logic: cut,
+                sram: None,
+            },
             &[],
             *shutoff,
             defect_fraction,
