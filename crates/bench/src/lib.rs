@@ -18,10 +18,16 @@
 //! | `EEA_TRANSPORTS` | per binary | comma-separated transport backends (`classic-can`, `can-fd`, `flexray`); `dse_campaign` defaults to `classic-can`, `fleet_campaign` to all three |
 
 // Library targets are panic-free by policy (see DESIGN.md, "Error
-// taxonomy"): unwrap/expect/panic! are denied outside test code.
+// taxonomy"): unwrap/expect/panic! are denied outside test code, and a
+// public function that can still panic documents it under `# Panics`.
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::missing_panics_doc
+    )
 )]
 
 use eea_bist::paper_table1;

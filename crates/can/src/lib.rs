@@ -47,10 +47,16 @@
 //! ```
 
 // Library targets are panic-free by policy (see DESIGN.md, "Error
-// taxonomy"): unwrap/expect/panic! are denied outside test code.
+// taxonomy"): unwrap/expect/panic! are denied outside test code, and a
+// public function that can still panic documents it under `# Panics`.
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::missing_panics_doc
+    )
 )]
 
 mod bus;

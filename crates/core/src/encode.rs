@@ -27,6 +27,7 @@ use eea_model::{Implementation, MessageId, ResourceId, Specification, TaskId};
 use eea_sat::{Solver, Var};
 
 use crate::augment::DiagSpec;
+use crate::objectives::DecodeView;
 
 /// The encoded formula plus the variable maps needed for decoding.
 #[derive(Debug)]
@@ -72,12 +73,8 @@ impl Encoding {
     /// per-worker solver replicas share one encoding.
     pub fn extract_model(&self, solver: &Solver, spec: &Specification) -> Implementation {
         let mut x = Implementation::new();
-        for (ti, opts) in self.m_vars.iter().enumerate() {
-            for &(r, v) in opts {
-                if solver.value(v) {
-                    x.bind(TaskId::from_index(ti), r);
-                }
-            }
+        for (task, resource) in self.bound_tasks(solver) {
+            x.bind(task, resource);
         }
         for mi in 0..self.c_vars.len() {
             let message = MessageId::from_index(mi);
@@ -103,6 +100,42 @@ impl Encoding {
             x.route(message, hops.into_iter().map(|(_, r)| r).collect());
         }
         x
+    }
+
+    /// Reads `solver`'s model into `view`, replacing what it held: the
+    /// binding of every true mapping variable, and as allocated resources
+    /// the true `c_r` of every message whose sender is bound — the
+    /// allocation of [`extract_model`](Self::extract_model)'s
+    /// implementation, without ordering any route's hops.
+    pub(crate) fn read_model(&self, solver: &Solver, spec: &Specification, view: &mut DecodeView) {
+        view.clear();
+        for (task, resource) in self.bound_tasks(solver) {
+            view.bind(task, resource);
+        }
+        for (mi, route_vars) in self.c_vars.iter().enumerate() {
+            let sender = spec.application.message(MessageId::from_index(mi)).sender;
+            if view.binding_of(sender).is_none() {
+                continue;
+            }
+            for (&r, &v) in route_vars {
+                if solver.value(v) {
+                    view.allocate(r);
+                }
+            }
+        }
+    }
+
+    /// The true mapping variables of `solver`'s model as `(task,
+    /// resource)` pairs, in task order.
+    fn bound_tasks<'a>(
+        &'a self,
+        solver: &'a Solver,
+    ) -> impl Iterator<Item = (TaskId, ResourceId)> + 'a {
+        self.m_vars.iter().enumerate().flat_map(move |(ti, opts)| {
+            opts.iter()
+                .filter(move |&&(_, v)| solver.value(v))
+                .map(move |&(r, _)| (TaskId::from_index(ti), r))
+        })
     }
 }
 

@@ -11,15 +11,15 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use eea_model::Implementation;
+use eea_model::{Implementation, ResourceId, TaskId};
 use eea_moea::{run, Nsga2Config, ParetoArchive, Problem};
-use eea_sat::SolveResult;
+use eea_sat::{SolveResult, Solver, Var};
 
 use eea_can::TransportConfig;
 
 use crate::augment::DiagSpec;
 use crate::encode::{encode, Encoding};
-use crate::objectives::{evaluate_with_transport, MemorySummary, Objectives};
+use crate::objectives::{evaluate_with_transport, score, DecodeView, MemorySummary, Objectives};
 
 /// Configuration of [`explore`].
 #[derive(Debug, Clone, PartialEq)]
@@ -119,19 +119,31 @@ impl DseResult {
 /// thread count reproduces the serial results bit for bit.
 pub const EVAL_LANES: usize = 8;
 
+/// One evaluation lane: a solver replica and the view its decodes are
+/// read into, reused from decode to decode.
+struct Lane {
+    solver: Solver,
+    view: DecodeView,
+}
+
 /// The SAT-decoding problem adapter: genotype → feasible implementation →
 /// objective vector.
 ///
 /// Batched evaluation ([`Problem::evaluate_batch`]) decodes on
 /// [`EVAL_LANES`] solver replicas cloned from the freshly encoded formula,
 /// optionally fanned out across `threads` workers; the state a decode
-/// leaves behind stays lane-local. [`decode`](Self::decode) keeps using
-/// the primary solver of the encoding.
+/// leaves behind stays lane-local. [`decode`](Self::decode) and
+/// [`Problem::evaluate`] keep using the primary solver of the encoding.
+/// Evaluation scores a decode straight from the solver's model; only
+/// [`decode`](Self::decode) builds an [`Implementation`].
 pub struct DseProblem<'d> {
     diag: &'d DiagSpec,
     encoding: Encoding,
-    lanes: Vec<eea_sat::Solver>,
-    mvars: Vec<(eea_model::TaskId, eea_model::ResourceId, eea_sat::Var)>,
+    /// The view [`Problem::evaluate`] reads the primary solver's models
+    /// into.
+    view: DecodeView,
+    lanes: Vec<Lane>,
+    mvars: Vec<(TaskId, ResourceId, Var)>,
     num_decision_vars: usize,
     /// Length of the functional prefix of `mvars` (everything before the
     /// first BIST test/data mapping; the augmenter appends BIST tasks after
@@ -154,7 +166,7 @@ impl<'d> DseProblem<'d> {
     pub fn with_threads(diag: &'d DiagSpec, threads: usize) -> Self {
         let encoding = encode(diag);
         let mvars = encoding.mapping_vars();
-        let bist_tasks: std::collections::BTreeSet<eea_model::TaskId> =
+        let bist_tasks: std::collections::BTreeSet<TaskId> =
             diag.options.iter().flat_map(|o| [o.test, o.data]).collect();
         let num_functional_vars = mvars
             .iter()
@@ -165,12 +177,18 @@ impl<'d> DseProblem<'d> {
             .all(|(t, _, _)| bist_tasks.contains(t)));
         // Lanes are cloned *before* any solve, so every lane starts from
         // the identical pristine formula.
-        let lanes = (0..EVAL_LANES).map(|_| encoding.solver.clone()).collect();
+        let lanes = (0..EVAL_LANES)
+            .map(|_| Lane {
+                solver: encoding.solver.clone(),
+                view: DecodeView::new(&diag.spec),
+            })
+            .collect();
         DseProblem {
             diag,
             num_decision_vars: mvars.len(),
             num_functional_vars,
             mvars,
+            view: DecodeView::new(&diag.spec),
             lanes,
             encoding,
             threads: threads.max(1),
@@ -197,44 +215,14 @@ impl<'d> DseProblem<'d> {
 
     /// Decodes a genotype into an implementation without evaluating
     /// objectives; `None` if the formula is unsatisfiable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `genotype` does not hold two genes per mapping variable
+    /// ([`genotype_len`](Problem::genotype_len) entries).
     pub fn decode(&mut self, genotype: &[f64]) -> Option<Implementation> {
-        let n = self.num_decision_vars;
-        assert_eq!(genotype.len(), 2 * n, "genotype length mismatch");
-        for (i, &(_, _, v)) in self.mvars.iter().enumerate() {
-            // Priorities in (0, 1]; route variables keep priority 0 and
-            // polarity false, so routes stay minimal.
-            self.encoding.solver.set_priority(v, genotype[i].max(1e-9));
-            self.encoding.solver.set_polarity(v, genotype[n + i] > 0.5);
-        }
-        match self.encoding.solver.solve() {
-            SolveResult::Sat => Some(self.encoding.extract(&self.diag.spec)),
-            SolveResult::Unsat => None,
-        }
-    }
-
-    /// Decodes and evaluates one genotype on a specific lane solver.
-    fn lane_evaluate(
-        diag: &DiagSpec,
-        encoding: &Encoding,
-        mvars: &[(eea_model::TaskId, eea_model::ResourceId, eea_sat::Var)],
-        solver: &mut eea_sat::Solver,
-        transport: &TransportConfig,
-        genotype: &[f64],
-    ) -> Option<Vec<f64>> {
-        let n = mvars.len();
-        assert_eq!(genotype.len(), 2 * n, "genotype length mismatch");
-        for (i, &(_, _, v)) in mvars.iter().enumerate() {
-            solver.set_priority(v, genotype[i].max(1e-9));
-            solver.set_polarity(v, genotype[n + i] > 0.5);
-        }
-        match solver.solve() {
-            SolveResult::Sat => {
-                let x = encoding.extract_model(solver, &diag.spec);
-                let (objectives, _) = evaluate_with_transport(diag, &x, transport);
-                Some(objectives.to_minimized())
-            }
-            SolveResult::Unsat => None,
-        }
+        solve_genotype(&self.mvars, &mut self.encoding.solver, genotype)
+            .then(|| self.encoding.extract(&self.diag.spec))
     }
 
     /// Access to the augmented specification.
@@ -269,14 +257,14 @@ impl<'d> DseProblem<'d> {
     fn greedy_functional_prefix(&self) -> Vec<f64> {
         let nf = self.num_functional_vars;
         let functional = &self.mvars[..nf];
-        let resource_cost = |r: eea_model::ResourceId| self.diag.spec.architecture.resource(r).cost;
+        let resource_cost = |r: ResourceId| self.diag.spec.architecture.resource(r).cost;
         let max_cost = functional
             .iter()
             .map(|&(_, r, _)| resource_cost(r))
             .fold(0.0f64, f64::max)
             .max(1.0);
         let mut genotype = vec![0.0; 2 * nf];
-        let mut task_opts: BTreeMap<eea_model::TaskId, Vec<usize>> = BTreeMap::new();
+        let mut task_opts: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
         for (i, &(t, _, _)) in functional.iter().enumerate() {
             task_opts.entry(t).or_default().push(i);
         }
@@ -393,9 +381,13 @@ impl Problem for DseProblem<'_> {
     }
 
     fn evaluate(&mut self, genotype: &[f64]) -> Option<Vec<f64>> {
-        let x = self.decode(genotype)?;
-        let (objectives, _) = evaluate_with_transport(self.diag, &x, &self.transport);
-        Some(objectives.to_minimized())
+        solve_genotype(&self.mvars, &mut self.encoding.solver, genotype).then(|| {
+            let encoding = &self.encoding;
+            encoding.read_model(&encoding.solver, &self.diag.spec, &mut self.view);
+            score(self.diag, &self.view, &self.transport)
+                .0
+                .to_minimized()
+        })
     }
 
     /// Lane-deterministic batch evaluation: genotype `i` always decodes on
@@ -411,13 +403,15 @@ impl Problem for DseProblem<'_> {
         let transport = &self.transport;
         let workers = self.threads.min(self.lanes.len()).max(1);
         let lanes_per_worker = self.lanes.len().div_ceil(workers);
-        let decode_lanes = move |first_lane: usize, lane_chunk: &mut [eea_sat::Solver]| {
+        let decode_lanes = move |first_lane: usize, lane_chunk: &mut [Lane]| {
             let mut out: Vec<(usize, Option<Vec<f64>>)> = Vec::new();
-            for (li, solver) in lane_chunk.iter_mut().enumerate() {
+            for (li, lane) in lane_chunk.iter_mut().enumerate() {
                 for i in (first_lane + li..genotypes.len()).step_by(EVAL_LANES) {
-                    let genotype = &genotypes[i];
                     let objectives =
-                        Self::lane_evaluate(diag, encoding, mvars, solver, transport, genotype);
+                        solve_genotype(mvars, &mut lane.solver, &genotypes[i]).then(|| {
+                            encoding.read_model(&lane.solver, &diag.spec, &mut lane.view);
+                            score(diag, &lane.view, transport).0.to_minimized()
+                        });
                     out.push((i, objectives));
                 }
             }
@@ -454,6 +448,29 @@ impl Problem for DseProblem<'_> {
         }
         results
     }
+}
+
+/// Writes `genotype` into `solver`'s branching heuristic and solves; `true`
+/// when the formula is satisfiable. Gene `i` is the priority of mapping
+/// variable `i` (clamped into (0, 1]) and gene `n + i` its preferred
+/// polarity. Route variables keep priority 0 and polarity false, so routes
+/// stay minimal.
+///
+/// # Panics
+///
+/// Panics if `genotype` does not hold `2 * mvars.len()` genes.
+pub(crate) fn solve_genotype(
+    mvars: &[(TaskId, ResourceId, Var)],
+    solver: &mut Solver,
+    genotype: &[f64],
+) -> bool {
+    let n = mvars.len();
+    assert_eq!(genotype.len(), 2 * n, "genotype length mismatch");
+    for (i, &(_, _, v)) in mvars.iter().enumerate() {
+        solver.set_priority(v, genotype[i].max(1e-9));
+        solver.set_polarity(v, genotype[n + i] > 0.5);
+    }
+    solver.solve() == SolveResult::Sat
 }
 
 /// Runs the full exploration: encode once, evolve genotypes, and re-decode

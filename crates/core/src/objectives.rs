@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use eea_can::{CanId, Message, TransportConfig};
-use eea_model::{DiagRole, Implementation, ResourceId, ResourceKind, TaskKind};
+use eea_model::{Implementation, ResourceId, ResourceKind, Specification, TaskId};
 
 use crate::augment::DiagSpec;
 
@@ -100,15 +100,114 @@ pub fn evaluate_with_transport(
     x: &Implementation,
     transport: &TransportConfig,
 ) -> (Objectives, MemorySummary) {
+    score(
+        diag,
+        &DecodeView::of_implementation(&diag.spec, x),
+        transport,
+    )
+}
+
+/// An index-addressed view of a decoded implementation: exactly what the
+/// three objectives read. Routes enter only as allocated resources; the
+/// order of a route's hops is not part of it, so a decode can be scored
+/// without building an [`Implementation`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct DecodeView {
+    /// Each task's resource by task index; `None` when unbound.
+    binding: Vec<Option<ResourceId>>,
+    /// Whether each resource is allocated (hosts a task or lies on a
+    /// route), by resource index.
+    allocated: Vec<bool>,
+    /// Whether each resource hosts a bound task, by resource index.
+    hosts_task: Vec<bool>,
+}
+
+impl DecodeView {
+    /// An empty view sized for `spec`: nothing bound, nothing allocated.
+    pub(crate) fn new(spec: &Specification) -> Self {
+        let resources = spec.architecture.num_resources();
+        DecodeView {
+            binding: vec![None; spec.application.num_tasks()],
+            allocated: vec![false; resources],
+            hosts_task: vec![false; resources],
+        }
+    }
+
+    /// The view of `x`, field by field: its binding, and its allocation
+    /// as it stands.
+    pub(crate) fn of_implementation(spec: &Specification, x: &Implementation) -> Self {
+        let mut view = DecodeView::new(spec);
+        for (&task, &resource) in &x.binding {
+            view.set_binding(task, resource);
+        }
+        for &resource in &x.allocation {
+            view.allocate(resource);
+        }
+        view
+    }
+
+    /// Unbinds every task and deallocates every resource.
+    pub(crate) fn clear(&mut self) {
+        self.binding.fill(None);
+        self.allocated.fill(false);
+        self.hosts_task.fill(false);
+    }
+
+    /// Binds `task` to `resource` and allocates the resource, as
+    /// [`Implementation::bind`] does.
+    pub(crate) fn bind(&mut self, task: TaskId, resource: ResourceId) {
+        self.set_binding(task, resource);
+        self.allocate(resource);
+    }
+
+    fn set_binding(&mut self, task: TaskId, resource: ResourceId) {
+        if let Some(slot) = self.binding.get_mut(task.index()) {
+            *slot = Some(resource);
+        }
+        if let Some(hosts) = self.hosts_task.get_mut(resource.index()) {
+            *hosts = true;
+        }
+    }
+
+    /// Allocates `resource` (a route hop).
+    pub(crate) fn allocate(&mut self, resource: ResourceId) {
+        if let Some(allocated) = self.allocated.get_mut(resource.index()) {
+            *allocated = true;
+        }
+    }
+
+    /// The resource `task` is bound to, if any.
+    pub(crate) fn binding_of(&self, task: TaskId) -> Option<ResourceId> {
+        self.binding.get(task.index()).copied().flatten()
+    }
+}
+
+/// Scores a decoded implementation: the three objectives and the memory
+/// summary of [`evaluate_with_transport`], read from `view`.
+///
+/// Every sum runs in a fixed order — allocated hardware in ascending
+/// resource index, local pattern memory in `diag.options` order, gateway
+/// copies in ascending profile id — so a view scores bit for bit the same
+/// however it was filled.
+pub(crate) fn score(
+    diag: &DiagSpec,
+    view: &DecodeView,
+    transport: &TransportConfig,
+) -> (Objectives, MemorySummary) {
     let spec = &diag.spec;
     let arch = &spec.architecture;
     let app = &spec.application;
 
     // ---- Monetary cost: allocated hardware.
-    let mut cost: f64 = x.allocation.iter().map(|&r| arch.resource(r).cost).sum();
+    let mut cost: f64 = arch
+        .resource_ids()
+        .filter(|r| view.allocated[r.index()])
+        .map(|r| arch.resource(r).cost)
+        .sum();
 
-    // Functional messages sent per ECU (for Eq. (1) mirrored bandwidth).
-    let mut sent_by: BTreeMap<ResourceId, Vec<Message>> = BTreeMap::new();
+    // Functional messages sent per ECU (for Eq. (1) mirrored bandwidth),
+    // keyed by the sending ECU's resource index.
+    let mut sent_by: BTreeMap<u32, Vec<Message>> = BTreeMap::new();
     let mut next_id = 0u16;
     for m in app.message_ids() {
         let msg = app.message(m);
@@ -117,7 +216,7 @@ pub fn evaluate_with_transport(
         }
         // Diagnosis-infrastructure messages (c^R from the collect task
         // side) do not exist; the collect task only receives.
-        let Some(src) = x.binding_of(msg.sender) else {
+        let Some(src) = view.binding_of(msg.sender) else {
             continue;
         };
         if arch.resource(src).kind != ResourceKind::Ecu {
@@ -134,21 +233,13 @@ pub fn evaluate_with_transport(
             continue;
         };
         next_id = (next_id + 1) % 0x7FF;
-        sent_by.entry(src).or_default().push(message);
+        sent_by.entry(src.index() as u32).or_default().push(message);
     }
 
-    // The transport's bandwidth table for this implementation: nodes keyed
-    // by resource index, message sets in the construction order above (the
-    // classic-CAN bandwidth sums are then bit-identical to the historical
-    // free-function path).
-    let backend = transport
-        .build(
-            sent_by
-                .into_iter()
-                .map(|(r, msgs)| (r.index() as u32, msgs))
-                .collect(),
-        )
-        .ok();
+    // The transport's bandwidth table for this implementation, message
+    // sets in the construction order above (the classic-CAN bandwidth sums
+    // are then bit-identical to the historical free-function path).
+    let backend = transport.build(sent_by).ok();
 
     // ---- Selected BIST sessions.
     let mut memory = MemorySummary::default();
@@ -156,13 +247,13 @@ pub fn evaluate_with_transport(
     let mut shutoff: f64 = 0.0;
     let mut gateway_profiles: BTreeMap<u32, u64> = BTreeMap::new();
     for o in &diag.options {
-        if x.binding_of(o.test).is_none() {
+        if view.binding_of(o.test).is_none() {
             continue;
         }
         // Eq. (3b) couples the data task's binding to the test task's, so
         // a decoded implementation always binds both; a hand-built one
         // that does not is treated as "no session" rather than a panic.
-        let Some(data_at) = x.binding_of(o.data) else {
+        let Some(data_at) = view.binding_of(o.data) else {
             continue;
         };
         let local = data_at == o.ecu;
@@ -198,10 +289,11 @@ pub fn evaluate_with_transport(
         cost += bytes as f64 * arch.resource(diag.gateway).memory_cost_per_byte;
     }
 
-    // ---- Test quality (Eq. 4): average over allocated ECUs.
+    // ---- Test quality (Eq. 4): average over the ECUs hosting a task (an
+    // ECU allocated only as a route hop does not count).
     let allocated_ecus = arch
         .of_kind(ResourceKind::Ecu)
-        .filter(|&r| x.tasks_on(r).next().is_some())
+        .filter(|r| view.hosts_task[r.index()])
         .count();
     let test_quality = if allocated_ecus == 0 {
         0.0
@@ -225,46 +317,17 @@ pub fn has_diagnosis(diag: &DiagSpec, x: &Implementation) -> bool {
     diag.options.iter().any(|o| x.binding_of(o.test).is_some())
 }
 
-/// The functional-only baseline cost: allocated hardware of an
-/// implementation, ignoring every diagnostic binding and memory cost.
-/// Used to compute the paper's "+3.7 % of a design without structural
-/// tests" headline.
-pub fn functional_hardware_cost(diag: &DiagSpec, x: &Implementation) -> f64 {
-    let spec = &diag.spec;
-    let mut resources: std::collections::BTreeSet<ResourceId> = std::collections::BTreeSet::new();
-    for (t, &r) in &x.binding {
-        if !spec.application.task(*t).kind.is_diagnostic() {
-            resources.insert(r);
-        }
-    }
-    for m in spec.application.message_ids() {
-        let msg = spec.application.message(m);
-        if spec.application.task(msg.sender).kind.is_diagnostic()
-            || matches!(
-                spec.application.task(msg.sender).kind,
-                TaskKind::Diagnostic(DiagRole::Test { .. })
-            )
-        {
-            continue;
-        }
-        if let Some(route) = x.routing.get(&m) {
-            resources.extend(route.iter().copied());
-        }
-    }
-    resources
-        .iter()
-        .map(|&r| spec.architecture.resource(r).cost)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::augment::augment;
     use crate::encode::encode;
+    use crate::explore::{solve_genotype, DseProblem};
     use eea_bist::paper_table1;
+    use eea_can::TransportKind;
     use eea_model::paper_case_study;
     use eea_sat::SolveResult;
+    use proptest::prelude::*;
 
     fn decoded(n_profiles: usize, select_bist: bool) -> (DiagSpec, Implementation) {
         let case = paper_case_study();
@@ -345,6 +408,74 @@ mod tests {
         let v = o.to_minimized();
         assert_eq!(v, vec![123.0, -0.8, 4.2]);
         assert_eq!(Objectives::from_minimized(&v), o);
+    }
+
+    /// Both specifications of the benchmark: all 36 Table I profiles, and
+    /// the BIST-free §IV-B baseline.
+    fn oracle_specs() -> [DiagSpec; 2] {
+        let case = paper_case_study();
+        [
+            augment(&case, &paper_table1()).expect("gateway present"),
+            augment(&case, &[]).expect("gateway present"),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Reading a model into a view and scoring it is bit for bit
+        /// `evaluate_with_transport` of `extract_model`'s implementation,
+        /// on every transport, across a sequence of decodes that share one
+        /// solver (and so its learned clauses, phases and heap layout).
+        #[test]
+        fn scored_model_matches_extracted_implementation(
+            seed in any::<u64>(),
+            random_decodes in 1usize..5,
+        ) {
+            for diag in oracle_specs() {
+                let mut enc = encode(&diag);
+                let mvars = enc.mapping_vars();
+                let mut rng = eea_moea::Rng::new(seed);
+                let mut genotypes = DseProblem::new(&diag).corner_genotypes();
+                genotypes.extend((0..random_decodes).map(|_| {
+                    (0..2 * mvars.len()).map(|_| rng.unit()).collect::<Vec<f64>>()
+                }));
+                let mut view = DecodeView::new(&diag.spec);
+                for genotype in &genotypes {
+                    if !solve_genotype(&mvars, &mut enc.solver, genotype) {
+                        continue;
+                    }
+                    enc.read_model(&enc.solver, &diag.spec, &mut view);
+                    let x = enc.extract_model(&enc.solver, &diag.spec);
+                    prop_assert_eq!(&view, &DecodeView::of_implementation(&diag.spec, &x));
+                    for kind in TransportKind::ALL {
+                        let transport = TransportConfig::for_kind(kind);
+                        let (fast, fast_memory) = score(&diag, &view, &transport);
+                        let (oracle, oracle_memory) =
+                            evaluate_with_transport(&diag, &x, &transport);
+                        for (a, b) in fast.to_minimized().iter().zip(oracle.to_minimized()) {
+                            prop_assert_eq!(a.to_bits(), b.to_bits(), "{} objectives", kind.label());
+                        }
+                        prop_assert_eq!(fast_memory, oracle_memory);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn test_task_without_data_task_is_no_session() {
+        let (diag, mut x) = decoded(2, false);
+        let o = &diag.options[0];
+        x.binding.remove(&o.data);
+        x.bind(o.test, o.ecu);
+        for kind in TransportKind::ALL {
+            let transport = TransportConfig::for_kind(kind);
+            let (obj, mem) = evaluate_with_transport(&diag, &x, &transport);
+            assert_eq!(mem, MemorySummary::default());
+            assert_eq!(obj.test_quality, 0.0);
+            assert_eq!(obj.shutoff_s, 0.0);
+        }
     }
 
     #[test]

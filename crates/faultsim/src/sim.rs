@@ -150,6 +150,10 @@ impl<const L: usize> WidePatternBlock<L> {
     }
 
     /// Extracts pattern `j` as a bit vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not below [`len`](Self::len).
     pub fn pattern(&self, j: usize) -> Vec<bool> {
         assert!(j < self.count as usize, "pattern index out of range");
         self.words.iter().map(|w| w.bit(j)).collect()
@@ -200,6 +204,10 @@ impl<const L: usize> WideResponse<L> {
     }
 
     /// The response of pattern `j` as a bit vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not below [`len`](Self::len).
     pub fn pattern(&self, j: usize) -> Vec<bool> {
         assert!(j < self.count as usize, "pattern index out of range");
         self.words.iter().map(|w| w.bit(j)).collect()

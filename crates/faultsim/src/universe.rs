@@ -43,6 +43,11 @@ impl FaultUniverse {
     }
 
     /// Builds a universe over an explicit fault list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list holds more than `u32::MAX` faults, the range of
+    /// a fault index.
     pub fn from_faults(faults: Vec<Fault>) -> Self {
         let n = faults.len();
         assert!(n <= u32::MAX as usize, "fault universe exceeds u32 indices");

@@ -230,7 +230,10 @@ pub struct GatewayService<'a> {
 }
 
 impl<'a> GatewayService<'a> {
-    /// Provisions a gateway for a fleet over the shared CUT model.
+    /// Provisions a gateway for a fleet over the shared CUT model. It
+    /// wires no SRAM model, so [`ingest`](Self::ingest) rejects every
+    /// upload of a [`CutFamily::Sram`](eea_bist::CutFamily) fault as
+    /// [`MalformedKind::UnknownFault`].
     ///
     /// # Errors
     ///
@@ -245,7 +248,8 @@ impl<'a> GatewayService<'a> {
 
     /// Like [`new`](Self::new), additionally wiring the March-test SRAM
     /// model so uploads of [`CutFamily::Sram`](eea_bist::CutFamily)
-    /// faults diagnose against the memory dictionary.
+    /// faults diagnose against the memory dictionary. With `sram` `None`,
+    /// every SRAM upload is rejected as [`MalformedKind::UnknownFault`].
     ///
     /// # Errors
     ///
@@ -397,13 +401,12 @@ impl<'a> GatewayService<'a> {
             return Some(MalformedKind::NegativeRetransmit);
         }
         // A fault index names a fault of its family's model, so an index
-        // past that model is an ingest-boundary rejection. An SRAM upload
-        // without a wired March model diagnoses to a typed zero entry and
-        // needs no bound.
-        if let Some(n) = self.models.num_faults(up.family) {
-            if usize::try_from(up.fault_index).map_or(true, |i| i >= n) {
-                return Some(MalformedKind::UnknownFault);
-            }
+        // past that model is an ingest-boundary rejection. A family
+        // without a wired model has an empty dictionary: every upload of
+        // it is rejected, never folded as a detection without a fault.
+        let faults = self.models.num_faults(up.family).unwrap_or(0);
+        if usize::try_from(up.fault_index).map_or(true, |i| i >= faults) {
+            return Some(MalformedKind::UnknownFault);
         }
         None
     }
@@ -850,8 +853,8 @@ mod tests {
 
     /// The ingest fault bound is per CUT family: an index past the
     /// family's model is rejected as `UnknownFault` and an in-range one
-    /// folds, while an SRAM upload to a gateway without a March model has
-    /// no bound and diagnoses to a zero finding.
+    /// folds, while a gateway without a March model rejects every SRAM
+    /// upload as `UnknownFault` and reports no finding for it.
     #[test]
     fn fault_bound_follows_the_family_model() {
         let cut = small_cut();
@@ -882,13 +885,13 @@ mod tests {
             logic_only.ingest(retag(CutFamily::Logic, cut.num_faults())),
             unknown
         );
-        logic_only
-            .ingest(retag(CutFamily::Sram, march.num_faults()))
-            .expect("no March model, no bound");
-        let findings = logic_only.snapshot_at(horizon_s).report.findings;
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].candidates, 0);
-        assert_eq!(findings[0].true_fault_rank, 0);
+        assert_eq!(
+            logic_only.ingest(retag(CutFamily::Sram, march.num_faults())),
+            unknown
+        );
+        assert_eq!(logic_only.ingest(retag(CutFamily::Sram, 0)), unknown);
+        assert!(logic_only.snapshot_at(horizon_s).report.findings.is_empty());
+        assert_eq!(logic_only.malformed(), 3);
 
         let mut with_march = GatewayService::with_models(
             &cut,

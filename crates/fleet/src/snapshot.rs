@@ -164,9 +164,10 @@ fn observed_payload(fail: &FailData, imp: Impairment) -> Option<FailData> {
 
 fn diagnose_fault(models: FaultModels<'_>, key: DiagKey) -> DiagEntry {
     let FaultKey { family, index } = key.fault;
-    // No fail data means no model for the family (a validated campaign
-    // rules that out through `MissingSramModel`): a typed zero entry,
-    // never a panic.
+    // No fail data means no model for the family. Nothing folds such an
+    // upload — a validated campaign rules it out through
+    // `MissingSramModel`, and gateway ingest rejects it as `UnknownFault`
+    // — so the typed zero entry only keeps the lookup total, never a panic.
     let Some(fail) = models.fail_data(family, index) else {
         return DiagEntry::default();
     };

@@ -206,14 +206,12 @@ fn apply(a: &mut VehicleArrival, kind: u64, m: &mut Mutator, faults: u32) -> boo
             true
         }),
         // 19: re-tag the family as SRAM. The service under test carries no
-        // March model, so the dictionary bound is vacuous and diagnosis
-        // yields a typed zero entry — the frame must still be *accepted*.
-        _ => {
-            if let Some(up) = &mut a.upload {
-                up.family = CutFamily::Sram;
-            }
-            false
-        }
+        // March model, so an SRAM fault names no dictionary entry: a frame
+        // with an upload must be rejected (one without stays valid).
+        _ => a.upload.as_mut().is_some_and(|up| {
+            up.family = CutFamily::Sram;
+            true
+        }),
     }
 }
 

@@ -247,6 +247,10 @@ fn polynomial_mutation(rng: &mut Rng, genotype: &mut [f64], prob: f64, eta: f64)
 /// is consumed exclusively while generating genotypes — so a batch
 /// override that is split-invariant keeps the run bit-identical to serial
 /// evaluation at any worker count.
+///
+/// # Panics
+///
+/// Panics if `cfg.population` is below 2.
 pub fn run<P: Problem>(
     problem: &mut P,
     cfg: &Nsga2Config,

@@ -113,6 +113,10 @@ fn environmental_selection(pool: &[Individual], fit: &[f64], size: usize) -> Vec
 
 /// Runs SPEA2 on `problem`, reusing [`Nsga2Config`] for the shared
 /// parameters (population = environmental archive size).
+///
+/// # Panics
+///
+/// Panics if `cfg.population` is below 2.
 pub fn run_spea2<P: Problem>(
     problem: &mut P,
     cfg: &Nsga2Config,

@@ -28,7 +28,7 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo clippy --workspace --all-targets -q"
-cargo clippy --workspace --all-targets -q
+echo "==> cargo clippy --workspace --all-targets -q -- -D warnings"
+cargo clippy --workspace --all-targets -q -- -D warnings
 
 echo "==> tier-1 verify OK"
