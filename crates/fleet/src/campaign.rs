@@ -87,13 +87,17 @@ pub struct StageTimings {
     /// into the gateway, block-ledger folds included. `0` for a bare
     /// snapshot, whose arrivals were simulated elsewhere.
     pub simulate_s: f64,
-    /// The snapshot's time filter and global sort of the folded uploads
-    /// into `(time_s, vehicle)` order.
+    /// The snapshot's sort of the uploads folded since the previous
+    /// snapshot into `(time_s, vehicle)` order, their linear merge into
+    /// the gateway's sorted upload log, and the search for the prefix
+    /// visible at the snapshot time.
     pub merge_s: f64,
-    /// Diagnosis of the diagnosis keys not yet cached: collecting the
-    /// missing keys plus the parallel dictionary lookups.
+    /// Diagnosis at first sight: collecting the uncached diagnosis keys
+    /// of the uploads folded since the previous snapshot, visible or not,
+    /// plus the parallel dictionary lookups.
     pub diagnose_s: f64,
-    /// Final serial scan: findings, batches, latency stats, coverage
+    /// Final serial scan over the visible prefix: census totals,
+    /// truncation count, findings, batches, latency stats, coverage
     /// curve, per-ECU aggregation.
     pub fold_s: f64,
     /// One-pass fault-dictionary sweep inside [`CutModel::build`] —

@@ -45,10 +45,10 @@ impl LatencyStats {
     /// the tests pin: for `n = 2`, p50 is the *larger* value (rank 0.5
     /// rounds to 1); for `n = 3`, p50 is the true median `sorted[1]`;
     /// duplicate timestamps are ordinary order statistics, so the
-    /// percentile of a run of equal values is that value. The sharded
-    /// pipeline computes percentiles only on the **globally merged**
-    /// latency sequence — never per shard — so these semantics cannot
-    /// shift with shard boundaries.
+    /// percentile of a run of equal values is that value. The gateway
+    /// computes percentiles only on the **globally merged** latency
+    /// sequence of the visible uploads, so these semantics cannot shift
+    /// with arrival order.
     pub(crate) fn from_sorted(sorted: &[f64]) -> Self {
         let n = sorted.len();
         if n == 0 {

@@ -31,8 +31,9 @@ STAGES = [
     "diagnose_lookup_s",
 ]
 SOAK_POINT = [
-    "vehicles", "arrivals_per_s", "snapshots", "snapshot_s", "shed",
-    "duplicates", "truncated_uploads", "peak_rss_kb", "snapshot_bit_identical",
+    "vehicles", "arrivals_per_s", "snapshots", "mid_snapshot_s_total", "snapshot_s",
+    "uploads_ingested", "shed", "duplicates", "truncated_uploads", "peak_rss_kb",
+    "snapshot_bit_identical",
 ]
 ROBUSTNESS = [
     "retransmitted_frames", "retransmit_overhead_s", "impaired_uploads",

@@ -8,7 +8,8 @@
 //! across all three transport backends — plus the gateway ingest
 //! service's snapshot-under-load contract (DESIGN.md §12): mid-campaign
 //! snapshots are bit-identical across arrival interleaving × queue
-//! capacity × thread × shard sweeps.
+//! capacity × thread × shard sweeps, and after any history of earlier
+//! snapshots.
 
 use std::sync::OnceLock;
 
@@ -505,6 +506,104 @@ proptest! {
         let snap = svc.snapshot_at(horizon_s);
         prop_assert_eq!(snap.report, serial);
         prop_assert_eq!(snap.malformed, 0, "well-formed fleets are never rejected");
+    }
+
+    /// Oracle for the gateway's incremental snapshots: after a history of
+    /// snapshots that each merged one chunk of a permuted feed into the
+    /// sorted upload log — at `0.0`, at times below an earlier snapshot's,
+    /// and at upload times of chunks still to come — a snapshot equals, in
+    /// every field, a fresh service fed the same arrivals and snapshotted
+    /// once. Clean or noisy, pure-logic or mixed-family campaigns.
+    #[test]
+    fn snapshot_after_history_matches_a_fresh_service(
+        vehicles in 1u32..220,
+        defect_pct in 0usize..=100,
+        seed in 0u64..u64::MAX,
+        prefix_pct in 0usize..=100,
+        noisy in 0usize..2,
+        mixed in 0usize..2,
+        plan_seed in 0u64..u64::MAX,
+        threads in 1usize..4,
+        transport_idx in 0usize..3,
+    ) {
+        let transport = TransportKind::ALL[transport_idx];
+        let mut bp = if mixed == 1 {
+            mixed_blueprints(transport, None)
+        } else {
+            blueprints(transport)
+        };
+        if noisy == 1 {
+            for b in &mut bp {
+                b.channel = ChannelConfig::Noisy(NoisyChannel {
+                    frame_error_rate: 0.05,
+                    corruption_rate: 0.2,
+                    window_loss_rate: 0.15,
+                    truncation_cap_bytes: 96,
+                    seed: seed.rotate_left(29),
+                });
+            }
+        }
+        let sram = (mixed == 1).then(sram);
+        let cfg = CampaignConfig {
+            vehicles,
+            defect_fraction: defect_pct as f64 / 100.0,
+            seed,
+            threads: 1,
+            ..CampaignConfig::default()
+        };
+        let campaign = Campaign::with_models(cut(), sram, &bp, cfg)
+            .unwrap_or_else(|e| panic!("valid campaign: {e}"));
+        let horizon_s = campaign.config().horizon_s;
+        let arrivals: Vec<VehicleArrival> = campaign.arrivals().collect();
+        let mut fed = arrivals[..arrivals.len() * prefix_pct / 100].to_vec();
+        let mut rng = Rng::new(plan_seed);
+        for i in (1..fed.len()).rev() {
+            let j = rng.below(i + 1);
+            fed.swap(i, j);
+        }
+        let provision = |threads| {
+            GatewayService::with_models(cut(), sram, GatewayConfig {
+                vehicles,
+                horizon_s,
+                threads,
+                ..GatewayConfig::default()
+            })
+            .unwrap_or_else(|e| panic!("provisions: {e}"))
+        };
+        // Snapshot times: 0.0, below the earliest earlier snapshot, the
+        // exact time of an upload not fed yet, or anywhere up to 1.2x
+        // the horizon (upload times cluster in the first hours).
+        let mut earliest = f64::INFINITY;
+        let mut pick = |rng: &mut Rng, later: &[VehicleArrival]| {
+            let later_times: Vec<f64> = later.iter().filter_map(|a| a.upload.map(|u| u.time_s)).collect();
+            let t = match rng.below(5) {
+                0 => 0.0,
+                1 if earliest.is_finite() => earliest * rng.unit(),
+                2 if !later_times.is_empty() => later_times[rng.below(later_times.len())],
+                3 => 1.2 * horizon_s * rng.unit(),
+                _ => 36_000.0 * rng.unit(),
+            };
+            earliest = earliest.min(t);
+            t
+        };
+        let mut svc = provision(threads);
+        let mut fed_so_far = 0;
+        while fed_so_far < fed.len() {
+            let chunk = 1 + rng.below(fed.len() - fed_so_far);
+            for &a in &fed[fed_so_far..fed_so_far + chunk] {
+                svc.accept(a).unwrap_or_else(|e| panic!("accept: {e}"));
+            }
+            fed_so_far += chunk;
+            let at_s = pick(&mut rng, &fed[fed_so_far..]);
+            svc.snapshot_at(at_s);
+        }
+        let at_s = pick(&mut rng, &[]);
+        let got = svc.snapshot_at(at_s);
+        let mut fresh = provision(1);
+        for &a in &fed {
+            fresh.accept(a).unwrap_or_else(|e| panic!("accept: {e}"));
+        }
+        prop_assert_eq!(got, fresh.snapshot_at(at_s));
     }
 
     #[test]
