@@ -8,10 +8,11 @@
 //! into the gateway's block ledger as they come, the snapshot sorts the
 //! uploads into `(time_s, vehicle)` order, diagnoses the keys it has not
 //! cached yet, and [`fold_report`](crate::snapshot::fold_report)
-//! assembles batches, latency statistics and the coverage curve. No per-vehicle outcome vector is ever
-//! materialized — peak memory is O(detections + blocks), not O(fleet).
+//! assembles batches, latency statistics and the coverage curve. No
+//! per-vehicle arrival vector is ever materialized — peak memory is
+//! O(detections + blocks), not O(fleet).
 //!
-//! Each vehicle's outcome is a pure function of the campaign seed and its
+//! Each vehicle's arrival is a pure function of the campaign seed and its
 //! index, and the gateway's snapshot is a pure function of the set of
 //! folded arrivals, so the [`FleetReport`] is **bit-identical at any
 //! thread count**.
@@ -22,7 +23,7 @@ use std::time::Instant;
 use eea_bist::{CutFamily, MarchTest};
 use eea_faultsim::resolve_threads;
 use eea_moea::Rng;
-use eea_sched::SchedPlan;
+use eea_sched::{FlatBudget, SchedPlan};
 
 use crate::blueprint::VehicleBlueprint;
 use crate::cut::{CutModel, FaultModels};
@@ -30,7 +31,7 @@ use crate::error::FleetError;
 use crate::gateway::{GatewayConfig, GatewayService, VehicleArrival, DEFAULT_QUEUE_CAPACITY};
 use crate::report::FleetReport;
 use crate::shutoff::ShutoffModel;
-use crate::vehicle::{simulate_vehicle, SimContext};
+use crate::vehicle::{simulate_vehicle, BlueprintTemplate, FastMod};
 
 /// Configuration of a fleet campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +74,7 @@ impl Default for CampaignConfig {
 /// `(campaign_seed, index)` — independent of thread count, chunking, and
 /// of whether the vehicle is fed through [`Campaign::feed`] or drawn from
 /// [`Campaign::arrivals`].
-pub(crate) fn vehicle_seed(campaign_seed: u64, index: u32) -> u64 {
+fn vehicle_seed(campaign_seed: u64, index: u32) -> u64 {
     Rng::mix(campaign_seed.wrapping_add(u64::from(index).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
@@ -100,25 +101,30 @@ pub struct StageTimings {
     /// truncation count, findings, batches, latency stats, coverage
     /// curve, per-ECU aggregation.
     pub fold_s: f64,
-    /// One-pass fault-dictionary sweep inside [`CutModel::build`] —
-    /// amortized once per model, not per campaign run (copied from
-    /// [`CutModel::dict_build_seconds`], identical across runs sharing a
-    /// model).
-    pub dict_build_s: f64,
     /// Pure dictionary-lookup portion of the diagnose stage: the parallel
     /// `diagnose_faults` call, excluding missing-key collection.
     pub diagnose_lookup_s: f64,
 }
 
 /// A validated, ready-to-run campaign over a CUT model and a blueprint
-/// set.
+/// set. It is also the campaign-invariant simulation context: everything
+/// a vehicle reads besides its seed is built here once, at validation,
+/// and shared read-only by every simulation worker.
 #[derive(Debug)]
 pub struct Campaign<'a> {
-    models: FaultModels<'a>,
-    blueprints: &'a [VehicleBlueprint],
-    /// Per-blueprint schedule plans, built once at validation; `None`
+    pub(crate) models: FaultModels<'a>,
+    pub(crate) blueprints: &'a [VehicleBlueprint],
+    /// Per-blueprint schedule plans, indexed like `blueprints`; `None`
     /// entries keep the flat-budget window source.
-    sched_plans: Vec<Option<SchedPlan>>,
+    pub(crate) sched_plans: Vec<Option<SchedPlan>>,
+    /// Per-blueprint work templates, indexed like `blueprints`.
+    pub(crate) templates: Vec<BlueprintTemplate>,
+    /// `% blueprints.len()` for the per-vehicle blueprint draw.
+    pub(crate) blueprint_mod: FastMod,
+    /// The flat-budget window source: the hoisted `min + unit()·range`
+    /// coefficients of the shut-off model, shared with `eea-sched` so
+    /// schedule-derived sources carve the same macro stream.
+    pub(crate) flat: FlatBudget,
     config: CampaignConfig,
 }
 
@@ -154,7 +160,9 @@ impl<'a> Campaign<'a> {
     /// model plus an optional March-test SRAM model. Per-blueprint task
     /// sets are folded into [`SchedPlan`]s here, so every schedulability
     /// problem ([`eea_sched::SchedError::DeadlineMiss`] included)
-    /// surfaces as a typed error at construction, never mid-simulation.
+    /// surfaces as a typed error at construction, never mid-simulation;
+    /// the blueprints' work templates and the flat window source are
+    /// built here too.
     ///
     /// # Errors
     ///
@@ -200,10 +208,19 @@ impl<'a> Campaign<'a> {
             .iter()
             .map(|b| b.task_set.as_ref().map(SchedPlan::build).transpose())
             .collect::<Result<Vec<_>, _>>()?;
+        let shutoff = config.shutoff;
         Ok(Campaign {
             models: FaultModels { logic: cut, sram },
             blueprints,
             sched_plans,
+            templates: blueprints.iter().map(BlueprintTemplate::new).collect(),
+            blueprint_mod: FastMod::new(blueprints.len() as u64),
+            flat: FlatBudget::from_bounds(
+                shutoff.min_gap_s,
+                shutoff.max_gap_s,
+                shutoff.min_window_s,
+                shutoff.max_window_s,
+            ),
             config,
         })
     }
@@ -260,12 +277,12 @@ impl<'a> Campaign<'a> {
     }
 
     /// Streams the whole fleet into `svc` under backpressure: simulation
-    /// workers produce [`VehicleArrival`] batches over contiguous
-    /// vehicle-index ranges and a bounded channel, the calling thread
-    /// folds them via [`GatewayService::accept`] (drain on a full queue —
-    /// the trusted producer blocks instead of shedding). Arrival
-    /// *interleaving* across workers is nondeterministic; the snapshot
-    /// taken afterwards is not, by the gateway's set-purity contract.
+    /// workers drain [`Arrivals`] over contiguous vehicle-index ranges in
+    /// batches through a bounded channel, the calling thread folds them
+    /// via [`GatewayService::accept`] (drain on a full queue — the trusted
+    /// producer blocks instead of shedding). Arrival *interleaving* across
+    /// workers is nondeterministic; the snapshot taken afterwards is not,
+    /// by the gateway's set-purity contract.
     ///
     /// # Errors
     ///
@@ -294,43 +311,33 @@ impl<'a> Campaign<'a> {
         /// Vehicles per channel send: batches amortize channel and fold
         /// bookkeeping without growing the in-flight footprint past a few
         /// MB at any thread count.
-        const FEED_BATCH: u32 = 4_096;
+        const FEED_BATCH: usize = 4_096;
         let n = self.config.vehicles;
         let threads = resolve_threads(self.config.threads).clamp(1, n as usize);
-        let ctx = self.sim_context();
-        let seed = self.config.seed;
         if threads == 1 {
-            // A direct loop over the local context rather than
-            // `self.arrivals()`: the serial feed is the one-shot hot path,
-            // so it stays free of the iterator's per-item bookkeeping.
-            for i in 0..n {
-                let o = simulate_vehicle(i, &ctx, vehicle_seed(seed, i));
-                let _ = svc.accept(VehicleArrival::from_outcome(&o));
+            for a in self.arrivals() {
+                let _ = svc.accept(a);
             }
             return;
         }
         // The gateway's block ledger makes fold order irrelevant, so the
         // workers take plain index ranges.
         let chunk = n.div_ceil(u32::try_from(threads).unwrap_or(n));
-        let ctx = &ctx;
         std::thread::scope(|scope| {
             let (tx, rx) = mpsc::sync_channel::<Vec<VehicleArrival>>(2 * threads);
             for lo in (0..n).step_by(chunk as usize) {
-                let hi = n.min(lo.saturating_add(chunk));
+                let mut arrivals = Arrivals {
+                    campaign: self,
+                    next: lo,
+                    end: n.min(lo.saturating_add(chunk)),
+                };
                 let tx = tx.clone();
-                scope.spawn(move || {
-                    for b in (lo..hi).step_by(FEED_BATCH as usize) {
-                        let batch = (b..hi.min(b.saturating_add(FEED_BATCH)))
-                            .map(|i| {
-                                let o = simulate_vehicle(i, ctx, vehicle_seed(seed, i));
-                                VehicleArrival::from_outcome(&o)
-                            })
-                            .collect();
-                        // A closed channel means the consumer unwound;
-                        // stop producing.
-                        if tx.send(batch).is_err() {
-                            return;
-                        }
+                scope.spawn(move || loop {
+                    let batch: Vec<_> = arrivals.by_ref().take(FEED_BATCH).collect();
+                    // A closed channel means the consumer unwound; stop
+                    // producing.
+                    if batch.is_empty() || tx.send(batch).is_err() {
+                        return;
                     }
                 });
             }
@@ -345,60 +352,45 @@ impl<'a> Campaign<'a> {
 
     /// A serial iterator over the fleet's [`VehicleArrival`]s in vehicle
     /// index order — the soak bench's and tests' handle for driving a
-    /// [`GatewayService`] at a controlled cadence. Each item is the same
-    /// pure per-vehicle outcome the parallel feed computes; O(1) memory.
-    /// Borrows the campaign (the per-blueprint schedule plans live in
+    /// [`GatewayService`] at a controlled cadence, and the serial feed's
+    /// loop (each parallel feed worker drains one over its own range).
+    /// O(1) memory. Borrows the campaign (the simulation context lives in
     /// it), so the iterator cannot outlive `self`.
     pub fn arrivals(&self) -> Arrivals<'_> {
         Arrivals {
-            ctx: self.sim_context(),
-            seed: self.config.seed,
+            campaign: self,
             next: 0,
-            vehicles: self.config.vehicles,
+            end: self.config.vehicles,
         }
-    }
-
-    /// The campaign-invariant simulation context (blueprint work
-    /// templates, fast blueprint divisor, campaign scalars), built once
-    /// per feed or arrival stream and shared read-only by its workers.
-    fn sim_context(&self) -> SimContext<'_> {
-        SimContext::new(
-            self.blueprints,
-            self.models,
-            &self.sched_plans,
-            self.config.shutoff,
-            self.config.defect_fraction,
-            self.config.horizon_s,
-            self.config.seed,
-        )
     }
 }
 
-/// The serial arrival stream behind [`Campaign::arrivals`].
+/// The serial arrival stream behind [`Campaign::arrivals`]: simulates
+/// vehicles `next..end` of its campaign, one per item — the one place a
+/// vehicle is simulated.
 pub struct Arrivals<'a> {
-    ctx: SimContext<'a>,
-    seed: u64,
+    campaign: &'a Campaign<'a>,
     next: u32,
-    vehicles: u32,
+    end: u32,
 }
 
 impl Iterator for Arrivals<'_> {
     type Item = VehicleArrival;
 
     fn next(&mut self) -> Option<VehicleArrival> {
-        if self.next >= self.vehicles {
+        if self.next >= self.end {
             return None;
         }
         let i = self.next;
         self.next += 1;
-        let o = simulate_vehicle(i, &self.ctx, vehicle_seed(self.seed, i));
-        Some(VehicleArrival::from_outcome(&o))
+        let seed = vehicle_seed(self.campaign.config.seed, i);
+        Some(simulate_vehicle(i, self.campaign, seed))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         // Checked, not `as`: u32 → usize only narrows on exotic 16-bit
         // targets, but the cast sweep leaves no silent truncation behind.
-        let left = usize::try_from(self.vehicles - self.next).unwrap_or(usize::MAX);
+        let left = usize::try_from(self.end - self.next).unwrap_or(usize::MAX);
         (left, Some(left))
     }
 }

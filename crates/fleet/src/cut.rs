@@ -81,9 +81,9 @@ pub struct CutModel {
     detectable: Vec<u32>,
     diagnoser: Diagnoser,
     /// Wall-clock seconds the one-pass dictionary sweep took at build
-    /// time — surfaced through [`StageTimings`](crate::StageTimings) so
-    /// benchmarks can report the amortized build cost next to per-lookup
-    /// cost. Never part of a [`FleetReport`](crate::FleetReport).
+    /// time — read through [`dict_build_seconds`](Self::dict_build_seconds)
+    /// so benchmarks can report the amortized build cost next to
+    /// per-lookup cost. Never part of a [`FleetReport`](crate::FleetReport).
     dict_build_s: f64,
 }
 

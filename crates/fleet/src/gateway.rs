@@ -71,7 +71,7 @@ use crate::cut::{CutModel, FaultModels};
 use crate::error::{FleetError, MalformedKind};
 use crate::report::FleetReport;
 use crate::snapshot::{diagnose_faults, fold_report, DiagCache, FleetTotals};
-use crate::vehicle::{Upload, VehicleOutcome};
+use crate::vehicle::Upload;
 
 /// Default bound of the ingest queue: deep enough to hold a whole
 /// 4096-arrival feed batch, small enough that a stalled consumer surfaces
@@ -119,20 +119,6 @@ pub struct VehicleArrival {
     /// The fail-data upload, when the seeded defect was detected and the
     /// payload reached the gateway within the horizon.
     pub upload: Option<Upload>,
-}
-
-impl VehicleArrival {
-    /// Packages a simulated vehicle outcome as a gateway arrival.
-    pub(crate) fn from_outcome(o: &VehicleOutcome) -> Self {
-        VehicleArrival {
-            vehicle: o.vehicle,
-            defect_ecu: o.defect.map(|d| d.ecu),
-            sessions_completed: o.sessions_completed,
-            windows_used: o.windows_used,
-            bist_time_s: o.bist_time_s,
-            upload: o.upload,
-        }
-    }
 }
 
 /// Configuration of a [`GatewayService`].
@@ -329,11 +315,6 @@ impl<'a> GatewayService<'a> {
     /// Pending (ingested but not yet folded) arrivals.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// The configured queue bound.
-    pub fn queue_capacity(&self) -> usize {
-        self.config.queue_capacity
     }
 
     /// Arrivals shed at the full queue so far.
@@ -628,7 +609,6 @@ impl<'a> GatewayService<'a> {
                 merge_s,
                 diagnose_s,
                 fold_s,
-                dict_build_s: self.models.logic.dict_build_seconds(),
                 diagnose_lookup_s,
             },
         )

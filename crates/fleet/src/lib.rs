@@ -33,8 +33,8 @@
 //!    slots — DESIGN.md §9),
 //! 3. [`ShutoffModel`] — per-vehicle driving/parked alternation,
 //! 4. [`Campaign`] — seeded fleet generation: worker threads simulate
-//!    contiguous vehicle-index ranges and [`feed`](Campaign::feed) the
-//!    outcomes into a gateway (DESIGN.md §10), never materializing a
+//!    contiguous vehicle-index ranges and [`feed`](Campaign::feed) their
+//!    arrivals into a gateway (DESIGN.md §10), never materializing a
 //!    per-vehicle vector (peak memory O(detections + blocks)),
 //! 5. [`GatewayService`] — the one aggregation path (DESIGN.md §12):
 //!    vehicles upload [`VehicleArrival`]s over simulated wall-clock time
@@ -112,4 +112,4 @@ pub use report::{
     RobustnessReport,
 };
 pub use shutoff::ShutoffModel;
-pub use vehicle::{DefectSeed, Upload, VehicleOutcome};
+pub use vehicle::Upload;

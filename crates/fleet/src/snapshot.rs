@@ -149,13 +149,13 @@ impl DiagCache {
     /// The distinct keys of `uploads`, each with its clean twin, that are
     /// not cached yet, in key order. Every impaired key drags its clean
     /// twin in, so the fold can price localization against the clean
-    /// baseline.
+    /// baseline; a clean key is its own twin and is collected once.
     pub(crate) fn missing(&self, uploads: &[Upload]) -> Vec<DiagKey> {
         let mut m: Vec<DiagKey> = uploads
             .iter()
             .flat_map(|u| {
                 let key = DiagKey::of(u);
-                [key, key.clean_twin()]
+                std::iter::once(key).chain((!key.impairment.is_none()).then(|| key.clean_twin()))
             })
             .filter(|&key| self.get(key).is_none())
             .collect();
@@ -551,5 +551,72 @@ impl EcuAcc {
             latency_sum: 0.0,
             faults: Vec::new(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cut::{CutConfig, CutModel};
+
+    fn upload(fault_index: u32, impairment: Impairment) -> Upload {
+        Upload {
+            vehicle: 0,
+            ecu: ResourceId::from_index(2),
+            fault_index,
+            family: CutFamily::Logic,
+            time_s: 1.0,
+            fail_bytes: 0,
+            retransmitted_frames: 0,
+            retransmit_s: 0.0,
+            impairment,
+        }
+    }
+
+    /// `missing` yields every uncached key once in key order, drags each
+    /// impaired key's clean twin in, and skips what the cache holds.
+    #[test]
+    fn missing_keys_are_distinct_sorted_and_uncached() {
+        let cut = CutModel::build(CutConfig {
+            gates: 80,
+            patterns: 64,
+            window: 8,
+            ..CutConfig::default()
+        })
+        .expect("substrate builds");
+        let [a, b, c] = [0, 1, 2].map(|k| cut.detectable_faults()[k]);
+        let lost = Impairment {
+            cap_entries: u16::MAX,
+            kind: ImpairmentKind::WindowLost { slot: 1 },
+        };
+        let uploads = [
+            upload(c, lost),
+            upload(b, Impairment::NONE),
+            upload(a, Impairment::NONE),
+            upload(b, lost),
+            upload(a, Impairment::NONE),
+        ];
+        let key = |fault_index, impairment| DiagKey::of(&upload(fault_index, impairment));
+        let mut cache = DiagCache::new(FaultModels {
+            logic: &cut,
+            sram: None,
+        });
+        assert_eq!(
+            cache.missing(&uploads),
+            [
+                key(a, Impairment::NONE),
+                key(b, Impairment::NONE),
+                key(b, lost),
+                key(c, Impairment::NONE),
+                key(c, lost),
+            ],
+            "each key once, in key order, with the impaired keys' clean twins"
+        );
+        cache.extend([a, c].map(|f| (key(f, Impairment::NONE), DiagEntry::default())));
+        assert_eq!(
+            cache.missing(&uploads),
+            [key(b, Impairment::NONE), key(b, lost), key(c, lost)],
+            "cached keys drop out; an impaired key whose twin is cached yields itself"
+        );
     }
 }

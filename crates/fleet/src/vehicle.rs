@@ -1,7 +1,8 @@
 //! Per-vehicle campaign timeline.
 //!
 //! Each vehicle owns a deterministic RNG seeded from the campaign seed and
-//! its index, draws a blueprint, possibly a seeded defect, and then runs
+//! its index, reads everything campaign-invariant from its [`Campaign`],
+//! draws a blueprint, possibly a seeded defect, and then runs
 //! its BIST sessions as a **sequential work queue** across shut-off
 //! windows: pattern transfer (Eq. 1), session runtime `l(b)`, and — when
 //! the session fails — the fail-data upload over the same mirrored
@@ -10,17 +11,18 @@
 //! next window exactly like [`eea_bist::ResumableRun`] resumes the
 //! pattern stream (per-pattern independence makes the cut irrelevant to
 //! the session result, which is why the precomputed fail data of
-//! [`crate::CutModel`] stays valid here).
+//! [`crate::CutModel`] stays valid here). What the vehicle did is returned
+//! as the [`VehicleArrival`] it uploads to the gateway.
 
 use eea_bist::{CutFamily, FailData, FAIL_ENTRY_BYTES};
 use eea_can::{ChannelConfig, Impairment};
 use eea_model::ResourceId;
 use eea_moea::Rng;
-use eea_sched::{FlatBudget, SchedPlan, TaskSchedule, WindowSource};
+use eea_sched::{TaskSchedule, WindowSource};
 
 use crate::blueprint::VehicleBlueprint;
-use crate::cut::FaultModels;
-use crate::shutoff::ShutoffModel;
+use crate::campaign::{Campaign, CampaignConfig};
+use crate::gateway::VehicleArrival;
 
 /// Payload bytes per classic CAN data frame — the granularity fail-data
 /// uploads are framed at on the mirrored schedule, and hence the unit the
@@ -38,18 +40,18 @@ pub(crate) fn cap_entries(cap_bytes: u64) -> u16 {
 /// model (a collapsed stuck-at of the logic [`CutModel`](crate::CutModel)
 /// or a cell fault of the SRAM [`MarchTest`](crate::MarchTest)), placed on
 /// one diagnosable ECU.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DefectSeed {
+#[derive(Clone, Copy)]
+struct DefectSeed {
     /// Index into the family's fault list (session-detectable by
     /// construction).
-    pub fault_index: u32,
+    fault_index: u32,
     /// The defective ECU.
-    pub ecu: ResourceId,
+    ecu: ResourceId,
     /// Index of the affected session plan in the blueprint.
-    pub plan: usize,
+    plan: usize,
     /// The CUT family the fault belongs to — fault indices are only
     /// meaningful within their family's model.
-    pub family: CutFamily,
+    family: CutFamily,
 }
 
 /// A fail-data upload arriving at the gateway.
@@ -76,27 +78,6 @@ pub struct Upload {
     /// What the channel did to the fail-data payload in transit;
     /// [`Impairment::NONE`] on a clean channel.
     pub impairment: Impairment,
-}
-
-/// What one vehicle did over the campaign horizon.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VehicleOutcome {
-    /// Vehicle index.
-    pub vehicle: u32,
-    /// Index of the blueprint the vehicle was bound to.
-    pub blueprint: usize,
-    /// The seeded defect, if any.
-    pub defect: Option<DefectSeed>,
-    /// Sessions fully completed (including upload, where one was due)
-    /// within the horizon.
-    pub sessions_completed: u32,
-    /// Shut-off windows in which BIST made progress.
-    pub windows_used: u32,
-    /// Total BIST time consumed (seconds).
-    pub bist_time_s: f64,
-    /// The defect's fail-data upload, when it completed within the
-    /// horizon.
-    pub upload: Option<Upload>,
 }
 
 /// Precomputed per-blueprint work template: everything `simulate_vehicle`
@@ -189,84 +170,35 @@ impl FastMod {
     }
 }
 
-/// Everything campaign-invariant the per-vehicle loop reads: the
-/// blueprint set with its precomputed work templates and fast blueprint
-/// divisor, the fault models, the shut-off model, and the campaign
-/// scalars. Built once per feed or arrival stream
-/// (`Campaign::sim_context`) and shared read-only by every simulation
-/// worker.
-pub(crate) struct SimContext<'a> {
-    pub blueprints: &'a [VehicleBlueprint],
-    pub models: FaultModels<'a>,
-    /// Per-blueprint schedule plans, indexed like `blueprints`; `None`
-    /// entries (and an empty slice) mean the flat-budget window source.
-    pub sched: &'a [Option<SchedPlan>],
-    pub defect_fraction: f64,
-    pub horizon_s: f64,
-    /// The campaign seed — the channel layer derives its per-vehicle
-    /// sub-streams from it (domain-separated from the simulation streams,
-    /// see [`eea_can::NoisyChannel::vehicle_rng`]).
-    pub campaign_seed: u64,
-    /// The flat-budget window source: the identical hoisted
-    /// `min + unit()·range` coefficients the historical `ShutoffRanges`
-    /// carried, now shared with `eea-sched` so schedule-derived sources
-    /// carve the same macro stream.
-    pub(crate) flat: FlatBudget,
-    templates: Vec<BlueprintTemplate>,
-    blueprint_mod: FastMod,
-}
-
-impl<'a> SimContext<'a> {
-    pub(crate) fn new(
-        blueprints: &'a [VehicleBlueprint],
-        models: FaultModels<'a>,
-        sched: &'a [Option<SchedPlan>],
-        shutoff: ShutoffModel,
-        defect_fraction: f64,
-        horizon_s: f64,
-        campaign_seed: u64,
-    ) -> Self {
-        SimContext {
-            blueprints,
-            models,
-            sched,
-            defect_fraction,
-            horizon_s,
-            campaign_seed,
-            flat: FlatBudget::from_bounds(
-                shutoff.min_gap_s,
-                shutoff.max_gap_s,
-                shutoff.min_window_s,
-                shutoff.max_window_s,
-            ),
-            templates: blueprints.iter().map(BlueprintTemplate::new).collect(),
-            blueprint_mod: FastMod::new(blueprints.len() as u64),
-        }
-    }
-}
-
-/// Simulates one vehicle. `seed` must already mix the campaign seed with
-/// the vehicle index so the outcome is a pure function of `(campaign
-/// config, index)` — the engine's thread-count independence rests on
-/// that. The blueprint template's fixed work list is walked with a
-/// cursor, so a vehicle touches no heap at all.
+/// Simulates vehicle `index` of `campaign` and returns its gateway
+/// arrival. `seed` must already mix the campaign seed with the vehicle
+/// index so the arrival is a pure function of `(campaign config, index)`
+/// — the engine's thread-count independence rests on that. The
+/// campaign's blueprint template, divisor, flat budget and schedule plan
+/// are read, never rebuilt, and the template's fixed work list is walked
+/// with a cursor, so a vehicle touches no heap at all.
 #[inline]
-pub(crate) fn simulate_vehicle(index: u32, ctx: &SimContext<'_>, seed: u64) -> VehicleOutcome {
-    let SimContext {
+pub(crate) fn simulate_vehicle(index: u32, campaign: &Campaign<'_>, seed: u64) -> VehicleArrival {
+    let Campaign {
         blueprints,
         models,
-        defect_fraction,
-        horizon_s,
+        blueprint_mod,
         flat,
         ..
-    } = *ctx;
+    } = *campaign;
+    let CampaignConfig {
+        defect_fraction,
+        horizon_s,
+        seed: campaign_seed,
+        ..
+    } = *campaign.config();
     let mut rng = Rng::new(seed);
     // `Rng::below(n)` is `next_u64() % n`; the fastmod divisor computes
     // exactly that without the per-vehicle hardware divide.
-    let blueprint_idx = ctx.blueprint_mod.rem(rng.next_u64()) as usize;
+    let blueprint_idx = blueprint_mod.rem(rng.next_u64()) as usize;
     let blueprint = &blueprints[blueprint_idx];
-    let template = &ctx.templates[blueprint_idx];
-    let plan_sched = ctx.sched.get(blueprint_idx).and_then(Option::as_ref);
+    let template = &campaign.templates[blueprint_idx];
+    let plan_sched = campaign.sched_plans[blueprint_idx].as_ref();
 
     // Defect seeding: the fraction draw happens for every vehicle (so the
     // stream of draws is schedule-independent); the seed only lands when
@@ -335,7 +267,7 @@ pub(crate) fn simulate_vehicle(index: u32, ctx: &SimContext<'_>, seed: u64) -> V
             // a noisy channel cannot shift any simulation draw. Pinned
             // order: the per-frame retransmission Bernoullis first, then
             // the payload impairment.
-            let mut crng = noisy.vehicle_rng(ctx.campaign_seed, index);
+            let mut crng = noisy.vehicle_rng(campaign_seed, index);
             let frames = fail_bytes.div_ceil(CAN_FRAME_PAYLOAD_BYTES);
             let retx = noisy.retransmitted_frames(&mut crng, frames);
             impairment = noisy.impair(&mut crng, cap_entries(noisy.truncation_cap_bytes));
@@ -389,10 +321,9 @@ pub(crate) fn simulate_vehicle(index: u32, ctx: &SimContext<'_>, seed: u64) -> V
         _ => None,
     };
 
-    VehicleOutcome {
+    VehicleArrival {
         vehicle: index,
-        blueprint: blueprint_idx,
-        defect,
+        defect_ecu: defect.map(|d| d.ecu),
         sessions_completed: out.sessions_completed,
         windows_used: out.windows_used,
         bist_time_s: out.bist_time_s,
@@ -519,8 +450,11 @@ mod tests {
     use super::*;
     use crate::blueprint::EcuSessionPlan;
     use crate::cut::{CutConfig, CutModel};
+    use crate::shutoff::ShutoffModel;
     use eea_model::ResourceId;
 
+    /// Vehicle `index` of a campaign whose seed is `seed`, simulated with
+    /// `seed` itself as the vehicle seed.
     fn run(
         index: u32,
         blueprints: &[VehicleBlueprint],
@@ -529,20 +463,22 @@ mod tests {
         defect_fraction: f64,
         horizon_s: f64,
         seed: u64,
-    ) -> VehicleOutcome {
-        let ctx = SimContext::new(
+    ) -> VehicleArrival {
+        let campaign = Campaign::new(
+            cut,
             blueprints,
-            FaultModels {
-                logic: cut,
-                sram: None,
+            CampaignConfig {
+                vehicles: index + 1,
+                defect_fraction,
+                horizon_s,
+                seed,
+                threads: 1,
+                shutoff: *shutoff,
+                ..CampaignConfig::default()
             },
-            &[],
-            *shutoff,
-            defect_fraction,
-            horizon_s,
-            seed,
-        );
-        simulate_vehicle(index, &ctx, seed)
+        )
+        .expect("valid campaign");
+        simulate_vehicle(index, &campaign, seed)
     }
 
     fn test_blueprint() -> VehicleBlueprint {
@@ -609,7 +545,7 @@ mod tests {
         // seeded; the 1200 s transfer needs three 400 s windows before the
         // 5 ms session and the upload can finish in the fourth.
         let o = run(0, &blueprints, &cut, &shutoff, 1.0, 1e6, 42);
-        assert!(o.defect.is_some());
+        assert!(o.defect_ecu.is_some());
         assert_eq!(o.sessions_completed, 1);
         assert!(o.windows_used >= 4);
         let up = o.upload.expect("defect detected");
@@ -628,7 +564,7 @@ mod tests {
             max_window_s: 400.0,
         };
         let o = run(0, &blueprints, &cut, &shutoff, 1.0, 800.0, 42);
-        assert!(o.defect.is_some());
+        assert!(o.defect_ecu.is_some());
         assert_eq!(o.sessions_completed, 0);
         assert!(o.upload.is_none());
     }

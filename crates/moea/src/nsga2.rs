@@ -222,7 +222,7 @@ fn sbx(rng: &mut Rng, p1: &[f64], p2: &[f64], prob: f64, eta: f64) -> (Vec<f64>,
 }
 
 /// Polynomial mutation in place.
-fn polynomial_mutation(rng: &mut Rng, genotype: &mut [f64], prob: f64, eta: f64) {
+pub(crate) fn polynomial_mutation(rng: &mut Rng, genotype: &mut [f64], prob: f64, eta: f64) {
     for g in genotype.iter_mut() {
         if !rng.chance(prob) {
             continue;

@@ -9,7 +9,7 @@
 
 use crate::archive::ParetoArchive;
 use crate::dominance::dominates;
-use crate::nsga2::{Individual, Nsga2Config, Problem};
+use crate::nsga2::{polynomial_mutation, Individual, Nsga2Config, Problem};
 use crate::rng::Rng;
 
 /// Result of a SPEA2 run (same shape as the NSGA-II result).
@@ -208,7 +208,7 @@ pub fn run_spea2<P: Problem>(
                 &population[b].genotype,
                 cfg.crossover_prob,
             );
-            mutate(&mut rng, &mut child, mutation_prob, cfg.eta_mutation);
+            polynomial_mutation(&mut rng, &mut child, mutation_prob, cfg.eta_mutation);
             if let Some(ind) = eval(
                 problem,
                 child,
@@ -244,21 +244,6 @@ fn crossover_uniform(rng: &mut Rng, a: &[f64], b: &[f64], prob: f64) -> Vec<f64>
         .zip(b)
         .map(|(&x, &y)| if rng.chance(0.5) { x } else { y })
         .collect()
-}
-
-fn mutate(rng: &mut Rng, genotype: &mut [f64], prob: f64, eta: f64) {
-    for g in genotype.iter_mut() {
-        if !rng.chance(prob) {
-            continue;
-        }
-        let u = rng.unit();
-        let delta = if u < 0.5 {
-            (2.0 * u).powf(1.0 / (eta + 1.0)) - 1.0
-        } else {
-            1.0 - (2.0 * (1.0 - u)).powf(1.0 / (eta + 1.0))
-        };
-        *g = (*g + delta).clamp(0.0, 1.0);
-    }
 }
 
 #[cfg(test)]

@@ -7,11 +7,12 @@ Usage: python3 scripts/check_bench.py RECORD.json
 Both: every section carries its fields and every determinism flag the
 bench records is true. Fleet: the one-pass dictionary build beat the
 serial replay, and on a multi-core machine each transport's campaign
-thread sweep shows a speedup. DSE: each transport's fast and slow
-shut-off counts add up to a non-empty front, front digests are 64-bit
-hex, each hypervolume lies in (0, 1.1^3], and the thread sweep's four
-points ran on 1, 2, 4 and 8 threads. Exits 1 and lists every problem
-found; exits 0 otherwise.
+thread sweep shows a speedup: above MIN_SPEEDUP for a fleet of at least
+SPEEDUP_MIN_VEHICLES, above 1 for a smaller one. DSE: each transport's
+fast and slow shut-off counts add up to a non-empty front, front
+digests are 64-bit hex, each hypervolume lies in (0, 1.1^3], and the
+thread sweep's four points ran on 1, 2, 4 and 8 threads. Exits 1 and
+lists every problem found; exits 0 otherwise.
 """
 
 import json
@@ -40,6 +41,12 @@ ROBUSTNESS = [
     "cap_truncated_uploads", "rejected_uploads", "rank_degraded",
     "delocalized", "rank_cdf",
 ]
+# The multi-core thread-sweep speedup gate: a fleet this large amortizes
+# thread spawns, so its best sweep point must beat the serial baseline by
+# MIN_SPEEDUP. Deliberately lax: the gate catches "parallelism broke
+# entirely", not scheduler noise.
+MIN_SPEEDUP = 1.05
+SPEEDUP_MIN_VEHICLES = 50_000
 # Flags the bench asserts before it writes; a false one means the record
 # was edited or produced by a broken bench.
 TRUE_FLAGS = {"bit_identical_across_sweep", "clean_equals_zero_rate_noisy", "accounted"}
@@ -112,14 +119,19 @@ def check_record(doc):
         if not fields(entry, ["transport", "bit_identical_across_sweep", "campaign", "sweep"], where):
             continue
         seen.append(entry["transport"])
-        fields(entry["campaign"], ["detected", "latency_p50_s", "latency_p99_s"], f"{where}.campaign")
+        campaign = entry["campaign"]
+        fields(campaign, ["vehicles", "detected", "latency_p50_s", "latency_p99_s"], f"{where}.campaign")
         sweep = entries(entry, "sweep", where)
         for j, point in enumerate(sweep):
             fields(point, SWEEP_POINT, f"{where}.sweep[{j}]")
         best = max((p.get("speedup_vs_1_thread", 0) for p in sweep), default=0)
-        print(f"{entry['transport']}: machine_cores={cores} best thread-sweep speedup={best:.3f}")
-        check(cores <= 1 or best > 1,
-              f"{where}: no thread-sweep speedup on a {cores}-core machine (best {best:.3f})")
+        vehicles = campaign.get("vehicles", 0) if isinstance(campaign, dict) else 0
+        floor = MIN_SPEEDUP if vehicles >= SPEEDUP_MIN_VEHICLES else 1
+        print(f"{entry['transport']}: machine_cores={cores} vehicles={vehicles} "
+              f"best thread-sweep speedup={best:.3f} (needs > {floor} on multi-core)")
+        check(cores <= 1 or best > floor,
+              f"{where}: thread-sweep speedup {best:.3f} not above {floor} "
+              f"on a {cores}-core machine with {vehicles} vehicles")
     check(sorted(seen) == sorted(TRANSPORTS), f"transports: found {seen}, expected {TRANSPORTS}")
 
     for i, entry in enumerate(entries(doc, "scale_sweep", "record")):
