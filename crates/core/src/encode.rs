@@ -145,7 +145,8 @@ pub fn encode(diag: &DiagSpec) -> Encoding {
     let app = &spec.application;
     let arch = &spec.architecture;
     let mut solver = Solver::new();
-    let horizon = arch.diameter();
+    let hops = HopTable::build(arch);
+    let horizon = hops.diameter();
 
     // Mapping variables.
     let mut m_vars: Vec<Vec<(ResourceId, Var)>> = Vec::with_capacity(app.num_tasks());
@@ -240,13 +241,13 @@ pub fn encode(diag: &DiagSpec) -> Encoding {
 
         // Presolve: forward distance from sender options, backward distance
         // to receiver options.
-        let dist_from = multi_source_distances(arch, &sender_opts);
-        let dist_to = multi_source_distances(arch, &receiver_opts);
+        let dist_from = hops.nearest(&sender_opts);
+        let dist_to = hops.nearest(&receiver_opts);
         // Message horizon: longest sender->receiver distance that can occur.
         let mut h = 0;
         for &s in &sender_opts {
             for &t in &receiver_opts {
-                if let Some(d) = arch.hop_distance(s, t) {
+                if let Some(d) = hops.distance(s, t) {
                     h = h.max(d);
                 }
             }
@@ -309,8 +310,7 @@ pub fn encode(diag: &DiagSpec) -> Encoding {
         // (2f) an active step activates its resource.
         for (&r, &cv) in &c_map {
             let steps: Vec<_> = ct_map
-                .iter()
-                .filter(|&(&(rr, _), _)| rr == r)
+                .range((r, 0)..=(r, u32::MAX))
                 .map(|(_, &tv)| tv)
                 .collect();
             let step_lits: Vec<_> = steps.iter().map(|v| v.positive()).collect();
@@ -350,31 +350,74 @@ pub fn encode(diag: &DiagSpec) -> Encoding {
     }
 }
 
-fn multi_source_distances(
-    arch: &eea_model::Architecture,
-    sources: &[ResourceId],
-) -> Vec<Option<u32>> {
-    let mut dist: Vec<Option<u32>> = vec![None; arch.num_resources()];
-    let mut queue = std::collections::VecDeque::new();
-    for &s in sources {
-        if dist[s.index()].is_none() {
-            dist[s.index()] = Some(0);
-            queue.push_back(s);
-        }
-    }
-    while let Some(r) = queue.pop_front() {
-        // Nodes are enqueued only after their distance is set.
-        let Some(d) = dist[r.index()] else {
-            continue;
-        };
-        for &n in arch.neighbors(r) {
-            if dist[n.index()].is_none() {
-                dist[n.index()] = Some(d + 1);
-                queue.push_back(n);
+/// All-pairs hop distances of an architecture, one breadth-first search
+/// per resource — what the encoding asks of the graph, answered by lookup
+/// instead of a search per message and per sender/receiver pair.
+struct HopTable {
+    n: usize,
+    /// Row-major `n × n` distances; [`UNREACHABLE`](Self::UNREACHABLE)
+    /// where no path exists.
+    dist: Vec<u32>,
+}
+
+impl HopTable {
+    const UNREACHABLE: u32 = u32::MAX;
+
+    fn build(arch: &eea_model::Architecture) -> Self {
+        let n = arch.num_resources();
+        let mut dist = vec![Self::UNREACHABLE; n * n];
+        let mut queue: Vec<ResourceId> = Vec::with_capacity(n);
+        for (from, row) in arch.resource_ids().zip(dist.chunks_mut(n.max(1))) {
+            row[from.index()] = 0;
+            queue.clear();
+            queue.push(from);
+            let mut head = 0;
+            while let Some(&r) = queue.get(head) {
+                head += 1;
+                let next = row[r.index()] + 1;
+                for &nb in arch.neighbors(r) {
+                    if row[nb.index()] == Self::UNREACHABLE {
+                        row[nb.index()] = next;
+                        queue.push(nb);
+                    }
+                }
             }
         }
+        HopTable { n, dist }
     }
-    dist
+
+    /// Longest shortest path: [`Architecture::diameter`](eea_model::Architecture::diameter).
+    fn diameter(&self) -> u32 {
+        self.dist
+            .iter()
+            .copied()
+            .filter(|&d| d != Self::UNREACHABLE)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// [`Architecture::hop_distance`](eea_model::Architecture::hop_distance).
+    fn distance(&self, from: ResourceId, to: ResourceId) -> Option<u32> {
+        let d = self.dist[from.index() * self.n + to.index()];
+        (d != Self::UNREACHABLE).then_some(d)
+    }
+
+    /// Hop distance of every resource to its nearest resource in
+    /// `sources` — a multi-source breadth-first search, which on an
+    /// unweighted undirected graph is the element-wise minimum of the
+    /// sources' rows.
+    fn nearest(&self, sources: &[ResourceId]) -> Vec<Option<u32>> {
+        let mut best = vec![Self::UNREACHABLE; self.n];
+        for s in sources {
+            let row = &self.dist[s.index() * self.n..][..self.n];
+            for (b, &d) in best.iter_mut().zip(row) {
+                *b = (*b).min(d);
+            }
+        }
+        best.into_iter()
+            .map(|d| (d != Self::UNREACHABLE).then_some(d))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -391,6 +434,37 @@ mod tests {
         let diag = augment(&case, &paper_table1()[..4]).expect("gateway present");
         let mut enc = encode(&diag);
         assert_eq!(enc.solver.solve(), SolveResult::Sat);
+    }
+
+    /// The hop table answers exactly what the graph searches of
+    /// `Architecture` answer: every pair's distance, the diameter, and a
+    /// multi-source distance as the nearest source's.
+    #[test]
+    fn hop_table_matches_the_graph_searches() {
+        let mut arch = paper_case_study().spec.architecture;
+        let island = arch.add_resource(eea_model::resource(
+            "island",
+            eea_model::ResourceKind::Ecu,
+            1.0,
+        ));
+        let hops = HopTable::build(&arch);
+        assert_eq!(hops.diameter(), arch.diameter());
+        for a in arch.resource_ids() {
+            for b in arch.resource_ids() {
+                assert_eq!(hops.distance(a, b), arch.hop_distance(a, b), "{a} -> {b}");
+            }
+        }
+        let ids: Vec<ResourceId> = arch.resource_ids().collect();
+        for sources in [&ids[..0], &ids[..1], &ids[3..7], &[ids[2], island][..]] {
+            let nearest = hops.nearest(sources);
+            for r in arch.resource_ids() {
+                let expected = sources
+                    .iter()
+                    .filter_map(|&s| arch.hop_distance(s, r))
+                    .min();
+                assert_eq!(nearest[r.index()], expected, "{r} from {sources:?}");
+            }
+        }
     }
 
     #[test]
